@@ -427,21 +427,6 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
     )
 
 
-def run_search_on(
-    model: QnnModel,
-    device: DeviceModel,
-    data: Dataset,
-    partitions: list[Partition],
-    lists: list[CandidateList],
-    cfg: TrainConfig,
-    weights: RewardWeights,
-    **env_kwargs,
-) -> SearchResult:
-    env = DeploymentEnv(partitions, lists, model, device, data, weights,
-                        seed=cfg.seed, **env_kwargs)
-    return run_search(env, cfg)
-
-
 def save_curves(result: SearchResult, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

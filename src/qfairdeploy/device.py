@@ -9,6 +9,11 @@ out of the gate-error model and undone by `mitigate_readout`.
 A device may also declare `uniform_depolarizing`: a single depolarizing
 channel applied once per execution regardless of circuit content. It exists
 to inject a known ground-truth rate in calibration and validation runs.
+
+Global depolarizing channels commute with every unitary, so noisy execution
+needs no density matrix: the measured marginal on k qubits is exactly
+(1 - P) |U psi|^2 + P / 2^k, computed from one statevector under the same
+12-qubit cap as the noiseless path.
 """
 from __future__ import annotations
 
@@ -28,15 +33,8 @@ from .circuits import (
     inverse,
     layers,
 )
-from .quantum import (
-    DENSITY_QUBIT_CAP,
-    _CNOT,
-    depolarize,
-    evolve_density,
-    measure,
-    pure_density,
-    zero_state,
-)
+from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
+from .quantum import _CNOT, measure
 from .seeding import spawn
 
 
@@ -201,38 +199,22 @@ def accumulate_p(circuit: Circuit, device: DeviceModel) -> NoiseTrace:
 def simulate_noisy(
     circuit: Circuit,
     device: DeviceModel,
-    initial: np.ndarray | None = None,
     qubits=None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Density-matrix evolution with a global depolarizing channel after each
-    2-qubit layer, then readout confusion over the measured qubits.
+    """Outcome distribution over `qubits` (default: all), starting from
+    |0...0>: (1 - P) |U psi|^2 + P / 2^k with
+    1 - P = prod(1 - p_layer) * (1 - uniform_depolarizing), then readout
+    confusion over the measured qubits.
 
-    Returns the outcome distribution over `qubits` (default: all). Exact mode
-    (shots=None) is deterministic; shot mode samples with the supplied rng.
+    Exact mode (shots=None) is deterministic; shot mode samples with the
+    supplied rng.
     """
-    n = circuit.num_qubits
-    if n > DENSITY_QUBIT_CAP:
-        raise ValueError(f"{n} qubits exceeds the {DENSITY_QUBIT_CAP}-qubit density-matrix cap")
-    if qubits is None:
-        qubits = tuple(range(n))
-    state = zero_state(n) if initial is None else np.asarray(initial, dtype=complex)
-    rho = pure_density(state)
-    gate_layers = layers(circuit)
-    for layer in gate_layers:
-        two_q = []
-        for i in layer:
-            g = circuit.gates[i]
-            rho = evolve_density(rho, g, n)
-            if len(g.qubits) == 2:
-                two_q.append(g)
-        if two_q:
-            rho = depolarize(rho, layer_error_rate(two_q, device))
-    if device.uniform_depolarizing > 0.0:
-        rho = depolarize(rho, device.uniform_depolarizing)
-    probs = measure(rho, qubits)
-    probs = _apply_confusion(probs, device, tuple(qubits))
+    qubits = tuple(range(circuit.num_qubits)) if qubits is None else tuple(qubits)
+    survive = (1.0 - accumulate_p(circuit, device).p_total) * (1.0 - device.uniform_depolarizing)
+    probs = survive * measure(quantum.simulate_state(circuit), qubits) + (1.0 - survive) / 2 ** len(qubits)
+    probs = _apply_confusion(probs, device, qubits)
     if shots is None:
         return probs
     if rng is None:
@@ -261,10 +243,10 @@ def mitigate_readout(dist: np.ndarray, device: DeviceModel, qubits) -> np.ndarra
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (2 ** len(qubits),):
         raise ValueError("distribution length does not match the qubit list")
-    kernel = _confusion_kernel(device, qubits)
-    if abs(np.linalg.det(kernel)) < 1e-12:
+    # the kernel is a Kronecker product, singular exactly when a factor is
+    if any(abs(np.linalg.det(device.confusion(q))) < 1e-12 for q in qubits):
         raise ValueError("singular readout confusion matrix")
-    corrected = np.linalg.solve(kernel, dist)
+    corrected = np.linalg.solve(_confusion_kernel(device, qubits), dist)
     corrected = np.clip(corrected, 0.0, None)
     total = corrected.sum()
     if total <= 0.0:

@@ -1,6 +1,8 @@
 """Complex linear algebra for circuits: gate semantics, noiseless statevector
-and density-matrix evolution, the depolarizing channel, measurement, and the
-distance metrics used by the fairness analysis.
+evolution and full unitaries (both capped at 12 qubits), measurement, and the
+distance metrics used by the fairness analysis. Noise needs no density
+matrix: device.simulate_noisy mixes the statevector's Born-rule marginal with
+the uniform distribution in closed form.
 
 All functions are pure; arrays returned are freshly allocated. Basis-index
 convention follows circuits.py (qubit 0 = most significant bit).
@@ -14,7 +16,6 @@ import numpy as np
 from .circuits import Circuit, Gate, GateKind
 
 STATEVECTOR_QUBIT_CAP = 12
-DENSITY_QUBIT_CAP = 8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -123,45 +124,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-# --- density matrices and channels ------------------------------------------
-
-
-def pure_density(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    return np.outer(state, state.conj())
-
-
-def evolve_density(rho: np.ndarray, g: Gate, num_qubits: int) -> np.ndarray:
-    """rho -> G rho G^dagger with G embedded on the gate's qubits."""
-    t = rho.reshape([2] * (2 * num_qubits))
-    m = gate_matrix(g)
-    t = _apply_matrix(t, m, g.qubits, 2 * num_qubits)
-    col_axes = tuple(q + num_qubits for q in g.qubits)
-    t = _apply_matrix(t, m.conj(), col_axes, 2 * num_qubits)
-    dim = 2**num_qubits
-    return t.reshape(dim, dim)
-
-
-def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """Mix toward the maximally mixed state: (1-p) rho + p I/2^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing rate {p} outside [0, 1]")
-    dim = rho.shape[0]
-    return (1.0 - p) * rho + (p / dim) * np.eye(dim, dtype=complex)
-
-
-def validate_density(rho: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless rho is Hermitian, unit-trace, and positive within tol."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density matrix trace != 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
 def assert_unitary(u: np.ndarray, tol: float = 1e-9) -> None:
     dim = u.shape[0]
     if np.abs(u.conj().T @ u - np.eye(dim)).max() > tol:
@@ -198,21 +160,16 @@ def measure(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Outcome distribution over the listed qubits.
+    """Outcome distribution of a statevector over the listed qubits.
 
-    `state` may be a statevector (1-d) or a density matrix (2-d). With
-    shots=None the exact Born-rule marginal is returned; otherwise empirical
-    frequencies from `shots` samples drawn with `rng`.
+    With shots=None the exact Born-rule marginal is returned; otherwise
+    empirical frequencies from `shots` samples drawn with `rng`.
     """
     state = np.asarray(state)
-    if state.ndim == 1:
-        n = int(round(math.log2(state.shape[0])))
-        probs_full = np.abs(state) ** 2
-    elif state.ndim == 2:
-        n = int(round(math.log2(state.shape[0])))
-        probs_full = np.real(np.diag(state)).copy()
-    else:
-        raise ValueError("state must be a vector or a square matrix")
+    if state.ndim != 1:
+        raise ValueError("state must be a statevector")
+    n = int(round(math.log2(state.shape[0])))
+    probs_full = np.abs(state) ** 2
     qs = _check_qubit_subset(qubits, n)
     probs = _marginal(probs_full, qs, n)
     probs = np.clip(probs, 0.0, None)
@@ -229,14 +186,6 @@ def measure(
 
 
 # --- distances ----------------------------------------------------------------
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * sum of absolute eigenvalues of (a - b) for density matrices."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch in trace_distance")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float:

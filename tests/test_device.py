@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, cnot_count, gate
+from qfairdeploy.circuits import Circuit, Gate, GateKind, cnot_count, gate
 from qfairdeploy.device import (
     BUNDLED_DEVICES,
     DeviceModel,
@@ -21,9 +25,10 @@ from qfairdeploy.device import (
 from qfairdeploy.quantum import circuit_unitary, measure, simulate_state
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import hs_distance
-from qfairdeploy.toys import toy_device
+from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import random_circuit
+from density_oracle import simulate_noisy_density
 
 
 class TestEstimationCircuit:
@@ -170,6 +175,56 @@ class TestSimulateNoisy:
             simulate_noisy(Circuit(3, (gate("cnot", 0, 2),)), dev)
 
 
+_ONE_QUBIT_KINDS = {GateKind.H: 0, GateKind.X: 0, GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.U3: 3}
+_rate = st.floats(0.0, 0.1)
+_angle = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def _noisy_case(draw):
+    """A random circuit on 1..5 qubits, a fully coupled device with random
+    edge, crosstalk, uniform and readout rates, and a measured subset."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        if n >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            if draw(st.booleans()):
+                gates.append(Gate(GateKind.RZZ, (a, b), (draw(_angle),)))
+            else:
+                gates.append(Gate(GateKind.CNOT, (a, b)))
+        else:
+            kind = draw(st.sampled_from(sorted(_ONE_QUBIT_KINDS, key=lambda k: k.value)))
+            params = tuple(draw(_angle) for _ in range(_ONE_QUBIT_KINDS[kind]))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), params))
+    edges = list(itertools.combinations(range(n), 2))
+    confusion = {}
+    for q in range(n):
+        if draw(st.booleans()):
+            p01, p10 = draw(_rate), draw(_rate)
+            confusion[q] = np.array([[1 - p01, p01], [p10, 1 - p10]])
+    device = DeviceModel(
+        name="h", num_qubits=n,
+        cnot_error={e: draw(_rate) for e in edges},
+        crosstalk={frozenset(pair): draw(_rate) for pair in itertools.combinations(edges, 2)
+                   if draw(st.booleans())},
+        crosstalk_default=draw(st.floats(0.0, 0.05)),
+        readout_confusion=confusion,
+        uniform_depolarizing=draw(st.floats(0.0, 1.0)),
+    )
+    qubits = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    return Circuit(n, tuple(gates)), device, qubits
+
+
+class TestClosedFormOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_case())
+    def test_matches_density_oracle(self, case):
+        circuit, device, qubits = case
+        np.testing.assert_allclose(simulate_noisy(circuit, device, qubits=qubits),
+                                   simulate_noisy_density(circuit, device, qubits), rtol=0, atol=1e-12)
+
+
 class TestMitigateReadout:
     def test_identity_confusion_unchanged(self):
         dev = toy_device(1)
@@ -211,6 +266,17 @@ class TestMitigateReadout:
         )
         with pytest.raises(ValueError):
             mitigate_readout(np.array([0.5, 0.5]), dev, (0,))
+
+    def test_eight_qubits_on_ring14(self):
+        # the 256 x 256 kernel's determinant is ~1e-21, yet each 2 x 2 factor is well conditioned
+        dev = bundled_device("ring14")
+        c = toy_model(8).circuit
+        qubits = tuple(range(8))
+        survive = (1.0 - accumulate_p(c, dev).p_total) * (1.0 - dev.uniform_depolarizing)
+        closed = survive * measure(simulate_state(c), qubits) + (1.0 - survive) / 256
+        fixed = mitigate_readout(simulate_noisy(c, dev, qubits=range(8)), dev, qubits)
+        np.testing.assert_allclose(fixed, closed, rtol=0, atol=1e-12)
+        assert 0.0 <= estimate_p(c, dev, r_twirls=4, shots=None) <= 1.0
 
 
 class TestEstimateP:

@@ -7,6 +7,7 @@ import pytest
 
 from qfairdeploy.agent import RewardWeights, compute_reward
 from qfairdeploy.pipeline import (
+    OUTPUT_DIR_ENV,
     SCHEME_WEIGHTS,
     ConfigError,
     DeploymentReport,
@@ -23,6 +24,7 @@ from qfairdeploy.circuits import Circuit, gate
 from qfairdeploy.toys import two_partition_instance
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "toy4_reports.csv"
 
 
 def _candidate(cnots: int, distance: float) -> Candidate:
@@ -137,10 +139,15 @@ class TestEmitReport:
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory):
-    """One full experiment on the bundled toy, in an isolated output dir."""
+    """One full experiment on the bundled toy, in an isolated output dir.
+
+    The directory comes from the environment, not an override, so the config
+    hash written into reports.csv is the shipped config's own."""
     out = tmp_path_factory.mktemp("toy4-run")
-    cfg = load_config(REPO_CONFIG, {"output_dir": str(out)})
-    reports = run_experiment(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(OUTPUT_DIR_ENV, str(out))
+        cfg = load_config(REPO_CONFIG)
+        reports = run_experiment(cfg)
     return cfg, reports, out
 
 
@@ -178,6 +185,10 @@ class TestRunExperiment:
         cfg, reports, out = toy_run
         assert all(r.config_hash == cfg.config_hash for r in reports)
         assert cfg.config_hash in (out / "reports.csv").read_text()
+
+    def test_reports_match_golden_copy(self, toy_run):
+        _, _, out = toy_run
+        assert (out / "reports.csv").read_bytes() == GOLDEN_REPORTS.read_bytes()
 
     def test_warm_cache_rerun_changes_nothing(self, toy_run):
         cfg, _, out = toy_run

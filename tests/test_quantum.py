@@ -8,19 +8,16 @@ from qfairdeploy.quantum import (
     apply_gate,
     assert_unitary,
     circuit_unitary,
-    depolarize,
     measure,
-    pure_density,
     simulate_state,
     total_variation,
-    trace_distance,
     trace_distance_pure,
-    validate_density,
     zero_state,
 )
 from qfairdeploy.seeding import spawn
 
 from conftest import random_circuit, random_state
+from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
 
 
 class TestApplyGate:
@@ -163,7 +160,9 @@ class TestMeasure:
         np.testing.assert_allclose(measure(plus, (0,)), [0.5, 0.5], atol=1e-12)
 
     def test_diagonal_density_matrix(self):
-        np.testing.assert_allclose(measure(np.diag([0.95, 0.05]), (0,)), [0.95, 0.05], atol=1e-12)
+        np.testing.assert_allclose(measure_density(np.diag([0.95, 0.05]), (0,)), [0.95, 0.05], atol=1e-12)
+        with pytest.raises(ValueError):
+            measure(np.diag([0.95, 0.05]), (0,))  # statevectors only
 
     def test_marginal_subset_and_order(self):
         state = np.zeros(4, dtype=complex)
