@@ -10,6 +10,7 @@ accuracy, weighted per scheme.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,7 +263,6 @@ class DeploymentEnv:
     split: str = "test"
     fill: str = "original"          # or "identity"
     r_twirls: int = 4
-    estimate_shots: int | None = None  # exact survival by default
     seed: int = 0
     _cache: dict = field(default_factory=dict)
 
@@ -313,7 +313,7 @@ class DeploymentEnv:
         acc = accuracy(deployed, self.data, self.split, self.device)
         p_hat = estimate_p(
             circuit, self.device, r_twirls=self.r_twirls,
-            shots=self.estimate_shots, seed=spawn_seed(self.seed, selections),
+            shots=None, seed=spawn_seed(self.seed, selections),
         )
         value = compute_reward(fairness_score(p_hat), acc, self.weights)
         self._cache[selections] = value
@@ -370,7 +370,7 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
     target_net = ValueNetwork(input_size, cfg.hidden_sizes, total_actions, init_rng)
     target_net.copy_from(policy)
     explore_rng = spawn(cfg.seed, "exploration")
-    replay: list[Transition] = []
+    replay: deque[Transition] = deque(maxlen=cfg.replay_capacity)
 
     best_selections: tuple[int, ...] | None = None
     best_reward = -np.inf
@@ -401,8 +401,6 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
                     (nxt_slice.start, nxt_slice.stop),
                 )
             replay.append(transition)
-            if len(replay) > cfg.replay_capacity:
-                replay.pop(0)
             state = nxt
 
         final = env.reward(state.selections)

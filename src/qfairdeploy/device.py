@@ -209,7 +209,7 @@ def simulate_noisy(
     confusion over the measured qubits.
 
     Exact mode (shots=None) is deterministic; shot mode samples with the
-    supplied rng.
+    supplied rng. This is the package's one shot sampler.
     """
     qubits = tuple(range(circuit.num_qubits)) if qubits is None else tuple(qubits)
     survive = (1.0 - accumulate_p(circuit, device).p_total) * (1.0 - device.uniform_depolarizing)
@@ -217,6 +217,8 @@ def simulate_noisy(
     probs = _apply_confusion(probs, device, qubits)
     if shots is None:
         return probs
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     if rng is None:
         raise ValueError("shot sampling needs an explicit rng")
     outcomes = rng.choice(probs.size, size=shots, p=probs)

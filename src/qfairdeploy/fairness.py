@@ -4,6 +4,12 @@ Input similarity is the trace distance between encoded states; output
 difference is the total-variation distance between measured outcome
 distributions. The empirical Lipschitz constant is the maximum output/input
 ratio over dataset pairs, a documented lower bound on the true constant.
+
+Bias pairs, the Lipschitz estimate and the group view share one pass over
+the pairs: each row is simulated once, then compared against all later rows
+at once, so a scan over n rows needs O(n) extra memory, not the
+n(n-1)/2 pair list.
+
 The device error rate p doubles as the fairness proxy score: under pure
 depolarizing noise the noisy constant contracts to (1 - p) times the
 noiseless one, so p controls how much the device flattens output gaps.
@@ -11,7 +17,6 @@ noiseless one, so p controls how much the device flattens output gaps.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,22 +45,24 @@ class LipschitzEstimate:
     degenerate_pairs: int
 
 
-def _encoded_states(data: Dataset, rows) -> dict[int, np.ndarray]:
-    return {i: simulate_state(encode(data.features[i])) for i in rows}
+def _pair_pass(model: QnnModel, device: DeviceModel | None, data: Dataset, rows):
+    """Walk every unordered pair of `rows` once, in sorted-row order.
 
-
-def _output_dists(
-    model: QnnModel, device: DeviceModel | None, data: Dataset, rows,
-    shots: int | None = None, rng=None,
-) -> dict[int, np.ndarray]:
-    return {
-        i: output_distribution(model, data.features[i], device, shots=shots, rng=rng)
-        for i in rows
-    }
-
-
-def _all_pairs(rows) -> list[tuple[int, int]]:
-    return list(itertools.combinations(sorted(rows), 2))
+    Each row's encoded state and output distribution are computed once and
+    stacked. Row a then meets rows a+1..n-1 in one broadcast call of each
+    metric, so the pass holds O(n) distances at a time, never the pair list.
+    Yields (i, later, d_in, d_out): a row, the array of later rows, and the
+    input and output distances to each of them. All rows by default.
+    """
+    rows = np.array(sorted(range(len(data.labels)) if rows is None else rows), dtype=int)
+    if len(rows) < 2:
+        raise ValueError("need at least 2 rows")
+    states = np.stack([simulate_state(encode(data.features[i])) for i in rows])
+    dists = np.stack([output_distribution(model, data.features[i], device) for i in rows])
+    for a in range(len(rows) - 1):
+        yield (int(rows[a]), rows[a + 1:],
+               trace_distance_pure(states[a], states[a + 1:]),
+               total_variation(dists[a], dists[a + 1:]))
 
 
 def find_bias_pairs(
@@ -71,19 +78,11 @@ def find_bias_pairs(
     the result is deterministic."""
     if not (0.0 < eps <= 1.0 and 0.0 < delta <= 1.0):
         raise ValueError("eps and delta must lie in (0, 1]")
-    rows = tuple(rows) if rows is not None else tuple(range(len(data.labels)))
-    if len(rows) < 2:
-        raise ValueError("need at least 2 rows")
-    states = _encoded_states(data, rows)
-    dists = _output_dists(model, device, data, rows)
     out = []
-    for i, j in _all_pairs(rows):
-        d_in = trace_distance_pure(states[i], states[j])
-        if d_in > eps:
-            continue
-        d_out = total_variation(dists[i], dists[j])
-        if d_out >= delta:
-            out.append(BiasPair(i, j, d_in, d_out))
+    for i, later, d_in, d_out in _pair_pass(model, device, data, rows):
+        hit = (d_in <= eps) & (d_out >= delta)
+        out += [BiasPair(i, int(j), float(x), float(y))
+                for j, x, y in zip(later[hit], d_in[hit], d_out[hit])]
     return out
 
 
@@ -91,28 +90,23 @@ def estimate_lipschitz(
     model: QnnModel,
     device: DeviceModel | None,
     data: Dataset,
-    pairs="exhaustive",
     rows=None,
 ) -> LipschitzEstimate:
-    """Empirical constant: max over pairs of output/input distance, clamped to
-    1. Degenerate pairs (identical encodings) are skipped and counted."""
-    rows = tuple(rows) if rows is not None else tuple(range(len(data.labels)))
-    pair_list = _all_pairs(rows) if isinstance(pairs, str) and pairs == "exhaustive" else list(pairs)
-    if not pair_list:
-        raise ValueError("no pairs to examine")
-    needed = sorted({i for p in pair_list for i in p})
-    states = _encoded_states(data, needed)
-    dists = _output_dists(model, device, data, needed)
-    k_hat, argmax, degenerate = 0.0, None, 0
-    for i, j in pair_list:
-        d_in = trace_distance_pure(states[i], states[j])
-        if d_in <= DEGENERATE_TOL:
-            degenerate += 1
+    """Empirical constant: max over all row pairs of output/input distance,
+    clamped to 1; the first pair in sorted-row order to reach the maximum is
+    reported. Degenerate pairs (identical encodings) are skipped and counted."""
+    k_hat, argmax, examined, degenerate = 0.0, None, 0, 0
+    for i, later, d_in, d_out in _pair_pass(model, device, data, rows):
+        examined += len(later)
+        usable = d_in > DEGENERATE_TOL
+        degenerate += int(usable.size - usable.sum())
+        if not usable.any():
             continue
-        ratio = total_variation(dists[i], dists[j]) / d_in
-        if ratio > k_hat:
-            k_hat, argmax = ratio, (i, j)
-    return LipschitzEstimate(min(k_hat, 1.0), argmax, len(pair_list), degenerate)
+        ratios = d_out[usable] / d_in[usable]
+        best = int(np.argmax(ratios))
+        if ratios[best] > k_hat:
+            k_hat, argmax = float(ratios[best]), (i, int(later[usable][best]))
+    return LipschitzEstimate(min(k_hat, 1.0), argmax, examined, degenerate)
 
 
 def noisy_lipschitz(k_star: float, p: float) -> float:
@@ -153,18 +147,15 @@ def group_disparity(
 
     Groups with no qualifying pairs are omitted; a reporting view only.
     """
-    rows = tuple(rows) if rows is not None else tuple(range(len(data.labels)))
-    dists = _output_dists(model, device, data, rows)
-    sums: dict[str, list[float]] = {name: [] for name in data.groups}
-    for i, j in _all_pairs(rows):
-        diff = np.flatnonzero(~np.isclose(data.features[i], data.features[j]))
-        if diff.size == 0:
-            continue
-        touched = [name for name, idxs in data.groups.items() if set(diff) & set(idxs)]
-        if len(touched) != 1:
-            continue
-        sums[touched[0]].append(total_variation(dists[i], dists[j]))
-    means = {name: float(np.mean(v)) for name, v in sums.items() if v}
+    picked: dict[str, list[np.ndarray]] = {name: [] for name in data.groups}
+    for i, later, _, d_out in _pair_pass(model, device, data, rows):
+        differs = ~np.isclose(data.features[i], data.features[later])
+        touched = {name: differs[:, list(idxs)].any(axis=1) for name, idxs in data.groups.items()}
+        alone = np.sum(list(touched.values()), axis=0) == 1
+        for name, t in touched.items():
+            picked[name].append(d_out[t & alone])
+    values = {name: np.concatenate(v) for name, v in picked.items()}  # n >= 2: never empty lists
+    means = {name: float(np.mean(v)) for name, v in values.items() if v.size}
     if not means:
         return {}
     if reference_group is None:

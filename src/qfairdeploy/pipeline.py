@@ -128,7 +128,9 @@ def _hash_config(kv: dict[str, str]) -> str:
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse the flat key-value experiment file; overrides replace keys before
-    hashing so a changed run is a different config."""
+    hashing so a changed run is a different config. Values that do not parse,
+    and bad training, weight, evaluation and scheme settings, raise
+    ConfigError here, before any stage runs."""
     path = Path(path)
     try:
         kv = _parse_kv(path.read_text())
@@ -150,64 +152,79 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
-    weights = {}
-    for key, value in kv.items():
-        if key.startswith("weights."):
-            try:
-                a, b = (float(v) for v in value.split(","))
-            except ValueError:
-                raise ConfigError(f"bad weights {value!r} for {key}")
-            weights[key.removeprefix("weights.")] = RewardWeights(a, b)
+    try:
+        weights = {}
+        for key, value in kv.items():
+            if key.startswith("weights."):
+                try:
+                    a, b = (float(v) for v in value.split(","))
+                except ValueError:
+                    raise ConfigError(f"bad weights {value!r} for {key}")
+                weights[key.removeprefix("weights.")] = RewardWeights(a, b)
 
-    hidden = tuple(int(v) for v in get("train.hidden", "256,128").split(","))
-    train = TrainConfig(
-        iterations=int(get("train.iterations", "1000")),
-        learning_rate=float(get("train.learning_rate", "1e-3")),
-        gamma=float(get("train.gamma", "0.99")),
-        epsilon_start=float(get("train.epsilon_start", "0.05")),
-        epsilon_final=float(get("train.epsilon_final", "0.01")),
-        target_sync_period=int(get("train.target_sync_period", "10")),
-        replay_capacity=int(get("train.replay_capacity", "1000")),
-        batch_size=int(get("train.batch_size", "32")),
-        hidden_sizes=hidden,
-        seed=int(get("seed", "0")),
-    )
-    opt = OptimizerConfig(
-        starts=int(get("opt.starts", "8")),
-        iterations=int(get("opt.iterations", "500")),
-    )
-    s_blk = int(get("s_blk", "2"))
-    if s_blk not in (2, 3):
-        raise ConfigError(f"s_blk must be 2 or 3, got {s_blk}")
+        hidden = tuple(int(v) for v in get("train.hidden", "256,128").split(","))
+        train = TrainConfig(
+            iterations=int(get("train.iterations", "1000")),
+            learning_rate=float(get("train.learning_rate", "1e-3")),
+            gamma=float(get("train.gamma", "0.99")),
+            epsilon_start=float(get("train.epsilon_start", "0.05")),
+            epsilon_final=float(get("train.epsilon_final", "0.01")),
+            target_sync_period=int(get("train.target_sync_period", "10")),
+            replay_capacity=int(get("train.replay_capacity", "1000")),
+            batch_size=int(get("train.batch_size", "32")),
+            hidden_sizes=hidden,
+            seed=int(get("seed", "0")),
+        )
+        opt = OptimizerConfig(
+            starts=int(get("opt.starts", "8")),
+            iterations=int(get("opt.iterations", "500")),
+        )
+        s_blk = int(get("s_blk", "2"))
+        if s_blk not in (2, 3):
+            raise ConfigError(f"s_blk must be 2 or 3, got {s_blk}")
 
-    output_dir = os.environ.get(OUTPUT_DIR_ENV) or resolve(get("output_dir", "out"))
-    data_csv = kv.get("data.csv")
-    cfg = ExperimentConfig(
-        arch=get("model.arch"),
-        num_qubits=int(get("model.qubits")),
-        layers=int(get("model.layers", "1")),
-        params_path=resolve(get("model.params")),
-        measure_qubit=int(get("model.measure_qubit", "0")),
-        device_ref=get("device"),
-        data_csv=resolve(data_csv) if data_csv else None,
-        data_schema=resolve(kv["data.schema"]) if "data.schema" in kv else None,
-        synthetic_rows=int(get("data.synthetic.rows", "40")),
-        synthetic_flip=float(get("data.synthetic.flip", "0")),
-        s_blk=s_blk,
-        eps_syn=float(get("eps_syn", "1e-2")),
-        k_max=int(get("k_max", "4")),
-        max_candidates=int(get("max_candidates", "9")),
-        opt=opt,
-        schemes=tuple(s.strip() for s in get("schemes", "quest,random,rl3").split(",")),
-        weights=weights,
-        train=train,
-        eval_split=get("eval.split", "test"),
-        r_twirls=int(get("eval.r_twirls", "4")),
-        fill=get("eval.fill", "original"),
-        seed=int(get("seed", "0")),
-        output_dir=output_dir,
-        config_hash=_hash_config(kv),
-    )
+        output_dir = os.environ.get(OUTPUT_DIR_ENV) or resolve(get("output_dir", "out"))
+        data_csv = kv.get("data.csv")
+        cfg = ExperimentConfig(
+            arch=get("model.arch"),
+            num_qubits=int(get("model.qubits")),
+            layers=int(get("model.layers", "1")),
+            params_path=resolve(get("model.params")),
+            measure_qubit=int(get("model.measure_qubit", "0")),
+            device_ref=get("device"),
+            data_csv=resolve(data_csv) if data_csv else None,
+            data_schema=resolve(kv["data.schema"]) if "data.schema" in kv else None,
+            synthetic_rows=int(get("data.synthetic.rows", "40")),
+            synthetic_flip=float(get("data.synthetic.flip", "0")),
+            s_blk=s_blk,
+            eps_syn=float(get("eps_syn", "1e-2")),
+            k_max=int(get("k_max", "4")),
+            max_candidates=int(get("max_candidates", "9")),
+            opt=opt,
+            schemes=tuple(s.strip() for s in get("schemes", "quest,random,rl3").split(",")),
+            weights=weights,
+            train=train,
+            eval_split=get("eval.split", "test"),
+            r_twirls=int(get("eval.r_twirls", "4")),
+            fill=get("eval.fill", "original"),
+            seed=int(get("seed", "0")),
+            output_dir=output_dir,
+            config_hash=_hash_config(kv),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+    if cfg.eval_split not in ("train", "test"):
+        raise ConfigError(f"eval.split must be train or test, got {cfg.eval_split!r}")
+    if cfg.fill not in ("original", "identity"):
+        raise ConfigError(f"eval.fill must be original or identity, got {cfg.fill!r}")
+    if cfg.r_twirls < 1:
+        raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
+    for scheme in cfg.schemes:
+        if scheme not in ("quest", "random") and not scheme.startswith("rl"):
+            raise ConfigError(f"unknown scheme {scheme!r}")
+        cfg.scheme_weights(scheme)  # raises when an rl scheme has no weights
     missing = [p for p in (cfg.params_path,) if not Path(p).exists()]
     if cfg.data_csv and not Path(cfg.data_csv).exists():
         missing.append(cfg.data_csv)
@@ -352,7 +369,7 @@ def _evaluate_selections(
     reward = env.reward(selections)
     acc = accuracy(env.model.with_circuit(deployed), env.data, env.split, env.device)
     p_hat = estimate_p(deployed, env.device, r_twirls=env.r_twirls,
-                       shots=env.estimate_shots, seed=spawn_seed(env.seed, selections))
+                       shots=None, seed=spawn_seed(env.seed, selections))
     return DeploymentReport(
         scheme=scheme,
         accuracy=acc,

@@ -272,51 +272,30 @@ def full_circuit(model: QnnModel, x) -> Circuit:
 # --- evaluation -------------------------------------------------------------------
 
 
-def output_distribution(
-    model: QnnModel,
-    x,
-    device: DeviceModel | None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Distribution over the measured qubit; noisy path mitigates readout."""
+def output_distribution(model: QnnModel, x, device: DeviceModel | None) -> np.ndarray:
+    """Exact distribution over the measured qubit; noisy path mitigates readout."""
     circuit = full_circuit(model, x)
     if device is None:
-        state = simulate_state(circuit)
-        return measure(state, (model.measure_qubit,), shots=shots, rng=rng)
-    dist = simulate_noisy(circuit, device, qubits=(model.measure_qubit,), shots=shots, rng=rng)
+        return measure(simulate_state(circuit), (model.measure_qubit,))
+    dist = simulate_noisy(circuit, device, qubits=(model.measure_qubit,))
     if device.readout_confusion:
         dist = mitigate_readout(dist, device, (model.measure_qubit,))
     return dist
 
 
-def predict(
-    model: QnnModel,
-    x,
-    device: DeviceModel | None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[int, float]:
+def predict(model: QnnModel, x, device: DeviceModel | None) -> tuple[int, float]:
     """(label, score) with score = P(measure_qubit = 1); ties go to label 1."""
-    score = float(output_distribution(model, x, device, shots, rng)[1])
+    score = float(output_distribution(model, x, device)[1])
     return (1 if score >= 0.5 else 0), score
 
 
-def accuracy(
-    model: QnnModel,
-    data: Dataset,
-    split: str,
-    device: DeviceModel | None,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
+def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | None) -> float:
     rows = data.split(split)
     if not rows:
         raise ValueError(f"empty {split} split")
     hits = 0
     for i in rows:
-        rng = spawn(seed, "accuracy-shots", split, i) if shots is not None else None
-        label, _ = predict(model, data.features[i], device, shots, rng)
+        label, _ = predict(model, data.features[i], device)
         hits += int(label == int(data.labels[i]))
     return hits / len(rows)
 

@@ -154,17 +154,9 @@ def _check_qubit_subset(qubits, num_qubits) -> tuple[int, ...]:
     return qs
 
 
-def measure(
-    state: np.ndarray,
-    qubits,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Outcome distribution of a statevector over the listed qubits.
-
-    With shots=None the exact Born-rule marginal is returned; otherwise
-    empirical frequencies from `shots` samples drawn with `rng`.
-    """
+def measure(state: np.ndarray, qubits) -> np.ndarray:
+    """Exact Born-rule distribution of a statevector over the listed qubits.
+    Shot sampling happens in one place, device.simulate_noisy."""
     state = np.asarray(state)
     if state.ndim != 1:
         raise ValueError("state must be a statevector")
@@ -174,31 +166,34 @@ def measure(
     probs = _marginal(probs_full, qs, n)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    if shots is None:
-        return probs
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if rng is None:
-        raise ValueError("shot sampling needs an explicit rng")
-    outcomes = rng.choice(probs.size, size=shots, p=probs)
-    counts = np.bincount(outcomes, minlength=probs.size)
-    return counts / float(shots)
+    return probs
 
 
 # --- distances ----------------------------------------------------------------
 
 
-def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float:
-    """Trace distance between pure states: sqrt(1 - |<psi|phi>|^2)."""
-    if psi.shape != phi.shape:
+def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
+    """Trace distance between pure states: sqrt(1 - |<psi|phi>|^2).
+
+    `phi` may be a stack of states, shape (m, d): the result is then the m
+    distances from `psi` to each of them.
+    """
+    psi, phi = np.asarray(psi), np.asarray(phi)
+    if psi.ndim != 1 or phi.shape[-1:] != psi.shape:
         raise ValueError("dimension mismatch in trace_distance_pure")
-    overlap = abs(np.vdot(psi, phi)) ** 2
-    return math.sqrt(max(0.0, 1.0 - overlap))
+    # product and sum rather than a matmul: a single state and a stack then
+    # round alike, so a pair's distance does not depend on how it was batched
+    overlap = np.abs((phi * psi.conj()).sum(axis=-1)) ** 2
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap))
 
 
-def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
-    """(1/2) * sum |d1_k - d2_k| over a shared outcome space."""
+def total_variation(d1: np.ndarray, d2: np.ndarray) -> float | np.ndarray:
+    """(1/2) * sum |d1_k - d2_k| over a shared outcome space.
+
+    `d2` may be a stack of distributions, shape (m, k): the result is then the
+    m distances from `d1` to each of them.
+    """
     d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-    if d1.shape != d2.shape:
+    if d1.ndim != 1 or d2.shape[-1:] != d1.shape:
         raise ValueError("outcome spaces differ in total_variation")
-    return 0.5 * float(np.abs(d1 - d2).sum())
+    return 0.5 * np.abs(d1 - d2).sum(axis=-1)

@@ -46,16 +46,19 @@ def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(0.0, one_minus * (1.0 + at)))
 
 
+# adaptive step of the descent, per start
+STEP_SIZE = 0.1
+STEP_DECAY = 0.5
+STEP_GROW = 1.5  # re-growth on improvement; pure halving stalls far from optimum
+MAX_STEP = 1.0
+MIN_STEP = 1e-14
+FD_STEP = 1e-6  # central-difference offset
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     starts: int = 8
     iterations: int = 500
-    step_size: float = 0.1
-    decay: float = 0.5
-    grow: float = 1.5  # re-growth on improvement; pure halving stalls far from optimum
-    max_step: float = 1.0
-    fd_step: float = 1e-6
-    min_step: float = 1e-14
 
 
 @dataclass(frozen=True)
@@ -211,20 +214,19 @@ def fit_template(
     f = _objective(template, x, target)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite synthesis objective")
-    lr = np.full(n_starts, opt.step_size)
+    lr = np.full(n_starts, STEP_SIZE)
     target_sq = (eps_syn / 10.0) ** 2
-    h = opt.fd_step
     # central differences for every start at once: stack the 2P shifted
     # copies of each start into one batch evaluation
-    shifts = np.concatenate([h * np.eye(n_params), -h * np.eye(n_params)])
+    shifts = np.concatenate([FD_STEP * np.eye(n_params), -FD_STEP * np.eye(n_params)])
 
     for _ in range(opt.iterations):
-        active = (f > target_sq) & (lr > opt.min_step)
+        active = (f > target_sq) & (lr > MIN_STEP)
         if not active.any():
             break
         pts = (x[:, None, :] + shifts[None, :, :]).reshape(-1, n_params)
         vals = _objective(template, pts, target).reshape(n_starts, 2 * n_params)
-        grad = (vals[:, :n_params] - vals[:, n_params:]) / (2.0 * h)
+        grad = (vals[:, :n_params] - vals[:, n_params:]) / (2.0 * FD_STEP)
 
         prop = x - lr[:, None] * grad
         f_prop = _objective(template, prop, target)
@@ -234,8 +236,8 @@ def fit_template(
         accept = improved & active
         x[accept] = prop[accept]
         f[accept] = f_prop[accept]
-        lr[accept] = np.minimum(lr[accept] * opt.grow, opt.max_step)
-        lr[active & ~improved] *= opt.decay
+        lr[accept] = np.minimum(lr[accept] * STEP_GROW, MAX_STEP)
+        lr[active & ~improved] *= STEP_DECAY
 
     best = int(np.argmin(f))
     circuit = template.realize(x[best])

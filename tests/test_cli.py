@@ -75,3 +75,20 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QFAIRDEPLOY_OUTPUT_DIR", str(alt))
     assert main(["synthesize", str(toy_config)]) == 0
     assert (alt / "cache").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "train.gamma 1.5",
+    "train.iterations abc",
+    "weights.rl3 -1,0.5",
+    "eval.fill bogus",
+    "eval.split bogus",
+    "eval.r_twirls 0",
+    "schemes quest,rl9",
+    "schemes quest,greedy",
+])
+def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys, line):
+    toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins
+    assert main(["evaluate", str(toy_config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cache").exists()

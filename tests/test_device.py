@@ -169,6 +169,12 @@ class TestSimulateNoisy:
         freq = simulate_noisy(c, dev, shots=50_000, rng=spawn(3, "s"))
         assert np.abs(freq - exact).max() < 0.02
 
+    def test_zero_shots_rejected(self):
+        # sampling zero shots used to divide by zero and return NaN
+        c = Circuit(2, (gate("h", 0), gate("cnot", 0, 1)))
+        with pytest.raises(ValueError, match="shots"):
+            simulate_noisy(c, toy_device(2), shots=0, rng=spawn(3, "s"))
+
     def test_unrouted_circuit_raises(self):
         dev = DeviceModel(name="t", num_qubits=3, cnot_error={(0, 1): 0.01})
         with pytest.raises(UnroutedGateError):
@@ -288,6 +294,11 @@ class TestEstimateP:
     def test_empty_circuit_zero(self):
         dev = toy_device(2, edge_error=0.05)
         assert estimate_p(Circuit(2), dev, r_twirls=2, shots=None) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_shots_rejected(self):
+        c = Circuit(2, (gate("cnot", 0, 1),))
+        with pytest.raises(ValueError, match="shots"):
+            estimate_p(c, toy_device(2), r_twirls=2, shots=0)
 
     def test_uniform_p_recovered_exactly_in_exact_mode(self):
         # closed form: P0 = (1-p) + p/4 = 0.925 for p = 0.1 on 2 qubits

@@ -1,9 +1,14 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfairdeploy.cli import main
 from qfairdeploy.fairness import (
+    DEGENERATE_TOL,
     BiasPair,
     estimate_lipschitz,
     fairness_score,
@@ -15,8 +20,12 @@ from qfairdeploy.fairness import (
     write_lipschitz_csv,
 )
 from qfairdeploy.qnn import Dataset, build_qnn, encode, output_distribution, synthetic_dataset
+from qfairdeploy.pipeline import OUTPUT_DIR_ENV
 from qfairdeploy.quantum import simulate_state, total_variation, trace_distance_pure
 from qfairdeploy.toys import toy_device, toy_model
+
+REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def make_dataset(features: np.ndarray) -> Dataset:
@@ -109,6 +118,15 @@ class TestEstimateLipschitz:
                 d_out = total_variation(dists[i], dists[j])
                 assert d_out <= d_in + 1e-9  # the Lipschitz bound with K <= 1
 
+    @pytest.mark.parametrize("features, first", [
+        ([[0.2], [0.2], [0.6]], (0, 2)),  # tie across rows: (0, 2) comes before (1, 2)
+        ([[0.6], [0.2], [0.2]], (0, 1)),  # tie within a row: (0, 1) comes before (0, 2)
+    ])
+    def test_first_maximal_pair_wins(self, features, first):
+        data = make_dataset(np.array(features))
+        est = estimate_lipschitz(build_qnn("c14", 1, 0, []), None, data)
+        assert est.argmax_pair == first
+
     def test_degenerate_pairs_skipped_and_counted(self):
         data = make_dataset(np.array([[0.5], [0.5], [0.9]]))
         model = build_qnn("c14", 1, 0, [])
@@ -126,12 +144,6 @@ class TestEstimateLipschitz:
             d_in = trace_distance_pure(states[i], states[j])
             d_out = total_variation(dists[i], dists[j])
             assert d_out <= est.k_hat * d_in + 1e-9
-
-    def test_explicit_pair_list(self):
-        data = make_dataset(np.array([[0.1], [0.5], [0.9]]))
-        model = build_qnn("c14", 1, 0, [])
-        est = estimate_lipschitz(model, None, data, pairs=[(0, 1)])
-        assert est.pairs_examined == 1
 
 
 class TestNoiseContraction:
@@ -204,6 +216,93 @@ class TestGroupDisparity:
         data = make_dataset(rows)
         with pytest.raises(ValueError):
             group_disparity(toy_model(2), None, data, reference_group="f1")
+
+
+# --- the shared pair pass against a pair-by-pair reference ----------------------
+
+
+@st.composite
+def _scan_case(draw):
+    """2-8 rows of 1-3 features (repeats allowed, so some pairs are
+    degenerate), a random model, noiseless or on a uniformly depolarizing
+    toy device, and bias-pair thresholds."""
+    n_rows, d = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    features = np.array([[draw(st.sampled_from((0.0, 0.5, 1.0))) if draw(st.booleans())
+                          else draw(st.floats(0.0, 1.0)) for _ in range(d)] for _ in range(n_rows)])
+    data = make_dataset(features)
+    if d > 1 and draw(st.booleans()):
+        data = Dataset(data.features, data.labels, data.feature_names,
+                       {"g0": (0,), "rest": tuple(range(1, d))}, data.train_idx, data.test_idx)
+    model = toy_model(d, seed=draw(st.integers(0, 1000)))
+    device = None
+    if draw(st.booleans()):
+        device = toy_device(d, uniform_depolarizing=draw(st.floats(0.0, 0.9)))
+    rows = None  # all rows, or a subset in any order
+    if draw(st.booleans()):
+        rows = draw(st.permutations(range(n_rows)))[:draw(st.integers(2, n_rows))]
+    return model, device, data, rows, draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 1.0))
+
+
+def _reference_pairs(model, device, data, rows) -> dict:
+    """(i, j) -> (input, output distance) for every pair, one scalar call each."""
+    rows = range(len(data.labels)) if rows is None else rows
+    states = {i: simulate_state(encode(data.features[i])) for i in rows}
+    dists = {i: output_distribution(model, data.features[i], device) for i in rows}
+    return {(i, j): (trace_distance_pure(states[i], states[j]), total_variation(dists[i], dists[j]))
+            for i, j in itertools.combinations(sorted(rows), 2)}
+
+
+def _reference_group_means(data, pairs) -> dict:
+    picked = {name: [] for name in data.groups}
+    for (i, j), (_, d_out) in pairs.items():
+        diff = set(np.flatnonzero(~np.isclose(data.features[i], data.features[j])))
+        touched = [name for name, idxs in data.groups.items() if diff & set(idxs)]
+        if len(touched) == 1:
+            picked[touched[0]].append(d_out)
+    return {name: float(np.mean(v)) for name, v in picked.items() if v}
+
+
+class TestPairPassMatchesReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_scan_case())
+    def test_three_functions(self, case):
+        model, device, data, rows, eps, delta = case
+        ref = _reference_pairs(model, device, data, rows)
+
+        pairs = find_bias_pairs(model, device, data, eps, delta, rows=rows)
+        assert [(p.i, p.j) for p in pairs] == [ij for ij, (a, b) in ref.items() if a <= eps and b >= delta]
+        for p in pairs:
+            assert p.input_distance == pytest.approx(ref[(p.i, p.j)][0], abs=1e-12)
+            assert p.output_distance == pytest.approx(ref[(p.i, p.j)][1], abs=1e-12)
+
+        est = estimate_lipschitz(model, device, data, rows=rows)
+        ratios = {ij: b / a for ij, (a, b) in ref.items() if a > DEGENERATE_TOL}
+        assert est.pairs_examined == len(ref)
+        assert est.degenerate_pairs == len(ref) - len(ratios)
+        assert est.k_hat == pytest.approx(min(max(ratios.values(), default=0.0), 1.0), abs=1e-12)
+        top = sorted(ratios.values(), reverse=True)
+        if not top or top[0] == 0.0:
+            assert est.argmax_pair is None
+        elif len(top) == 1 or top[0] - top[1] > 1e-12:
+            assert est.argmax_pair == max(ratios, key=ratios.get)  # first maximal pair
+
+        means = _reference_group_means(data, ref)
+        first = next(iter(data.groups))
+        if means and means.get(first, 0.0) <= 0.0:
+            with pytest.raises(ValueError):
+                group_disparity(model, device, data, rows=rows)
+        else:
+            expected = {name: v / means[first] for name, v in means.items()}
+            assert group_disparity(model, device, data, rows=rows) == pytest.approx(expected, abs=1e-12)
+
+
+def test_toy4_scan_matches_golden_copy(tmp_path, monkeypatch):
+    # thresholds chosen so the bias-pair file is not empty (15 pairs)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    argv = ["fairness-scan", str(REPO_CONFIG), "--split", "train", "--eps", "0.7", "--delta", "0.1"]
+    assert main(argv) == 0
+    for name in ("lipschitz", "bias_pairs"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"toy4_scan_{name}.csv").read_bytes()
 
 
 def test_csv_reports(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfairdeploy.circuits import Circuit, concat, gate
+from qfairdeploy.device import simulate_noisy
 from qfairdeploy.quantum import (
     apply_gate,
     assert_unitary,
@@ -15,6 +16,7 @@ from qfairdeploy.quantum import (
     zero_state,
 )
 from qfairdeploy.seeding import spawn
+from qfairdeploy.toys import toy_device
 
 from conftest import random_circuit, random_state
 from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
@@ -177,16 +179,20 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(zero_state(2), (5,))
 
+    # shots are sampled in one place, simulate_noisy; on a zero-error device
+    # its exact law is the Born-rule marginal that measure returns
+
     def test_sampling_consistency(self, rng):
         # 1e5 seeded shots stay within 0.02 total variation of the exact law
-        state = simulate_state(random_circuit(rng, 3, 12))
-        exact = measure(state, (0, 1, 2))
-        empirical = measure(state, (0, 1, 2), shots=100_000, rng=spawn(9, "shots"))
+        circuit = random_circuit(rng, 3, 12)
+        exact = measure(simulate_state(circuit), (0, 1, 2))
+        empirical = simulate_noisy(circuit, toy_device(3, edge_error=0.0),
+                                   shots=100_000, rng=spawn(9, "shots"))
         assert total_variation(empirical, exact) < 0.02
 
     def test_shots_need_rng(self):
         with pytest.raises(ValueError):
-            measure(zero_state(1), (0,), shots=10)
+            simulate_noisy(Circuit(1), toy_device(1, edge_error=0.0), shots=10)
 
 
 class TestTotalVariation:
