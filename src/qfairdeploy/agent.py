@@ -92,10 +92,6 @@ def state_tensor(state: AgentState) -> np.ndarray:
     return np.stack([u.real, u.imag], axis=-1)
 
 
-def tensor_to_matrix(tensor: np.ndarray) -> np.ndarray:
-    return tensor[..., 0] + 1j * tensor[..., 1]
-
-
 def action_slice(state: AgentState, lists: list[CandidateList]) -> range:
     """Global candidate indices available from this state: the contiguous
     block belonging to the next unselected partition."""
@@ -151,9 +147,7 @@ class ValueNetwork:
         a = np.atleast_2d(np.asarray(inputs, dtype=float))
         if a.shape[1] != self.input_size:
             raise ValueError(f"expected input width {self.input_size}, got {a.shape[1]}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        out = a @ self.weights[-1] + self.biases[-1]
+        _, out = self._forward_cached(a)
         return out[0] if np.asarray(inputs).ndim == 1 else out
 
     def _forward_cached(self, x: np.ndarray):
@@ -200,10 +194,6 @@ def td_target(reward: float, next_q_max: float | None, gamma: float) -> float:
     return reward + gamma * next_q_max
 
 
-def td_loss(prediction: float, target: float) -> float:
-    return (target - prediction) ** 2
-
-
 @dataclass(frozen=True)
 class Transition:
     state_tensor: np.ndarray
@@ -221,19 +211,20 @@ def train_step(
     gamma: float,
 ) -> float:
     """One gradient-descent update of the policy on the mean TD loss of the
-    batch; targets come from the target network. Returns the pre-update loss."""
+    batch; targets come from one target-network pass over the batch's
+    non-terminal next states. Returns the pre-update loss."""
     if not batch:
         raise ValueError("empty batch")
     inputs = np.stack([t.state_tensor.ravel() for t in batch])
     actions = np.array([t.action for t in batch], dtype=int)
-    targets = np.empty(len(batch))
-    for i, t in enumerate(batch):
-        if t.next_state_tensor is None:
-            targets[i] = td_target(t.reward, None, gamma)
-        else:
-            q_next = target_net.forward(t.next_state_tensor.ravel())
-            lo, hi = t.next_slice
-            targets[i] = td_target(t.reward, float(q_next[lo:hi].max()), gamma)
+    next_q_max: list[float | None] = [None] * len(batch)
+    live = [i for i, t in enumerate(batch) if t.next_state_tensor is not None]
+    if live:
+        q_next = target_net.forward(np.stack([batch[i].next_state_tensor.ravel() for i in live]))
+        for i, q in zip(live, q_next):
+            lo, hi = batch[i].next_slice
+            next_q_max[i] = float(q[lo:hi].max())
+    targets = np.array([td_target(t.reward, m, gamma) for t, m in zip(batch, next_q_max)])
     loss, grads_w, grads_b = policy.loss_and_gradients(inputs, actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss}")
@@ -323,22 +314,6 @@ class DeploymentEnv:
 def spawn_seed(master: int, selections: tuple[int, ...]) -> int:
     """Stable per-prefix integer seed for the estimation twirls."""
     return int(spawn(master, "reward", *selections).integers(0, 2**31))
-
-
-def reward_for_state(
-    state: AgentState,
-    partitions: list[Partition],
-    lists: list[CandidateList],
-    model: QnnModel,
-    device: DeviceModel,
-    data: Dataset,
-    weights: RewardWeights,
-    **env_kwargs,
-) -> float:
-    """Reward of a partial deployment, completing the remaining partitions
-    with their original sub-circuits."""
-    env = DeploymentEnv(partitions, lists, model, device, data, weights, **env_kwargs)
-    return env.reward(state.selections)
 
 
 # --- the episode loop ------------------------------------------------------------------

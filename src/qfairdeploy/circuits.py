@@ -97,9 +97,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def appended(self, *gates: Gate) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(gates))
-
 
 def concat(*circuits: Circuit) -> Circuit:
     """Concatenate circuits in time order; all must share the qubit count."""

@@ -26,7 +26,11 @@ from .device import DeviceModel
 from .qnn import Dataset, QnnModel, encode, output_distribution
 from .quantum import simulate_state, total_variation, trace_distance_pure
 
-DEGENERATE_TOL = 1e-9
+# Input distances at or below this count as identical encodings. It sits well
+# above the rounding floor of trace_distance_pure, which gives two identical
+# states a distance of up to 3.0e-8 at 4 qubits (4.2e-8 at 8, 3.3e-8 at 12):
+# sqrt(1 - overlap^2) turns an overlap one ulp below 1 into ~1.5e-8.
+DEGENERATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)

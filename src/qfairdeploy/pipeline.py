@@ -63,6 +63,18 @@ class ConfigError(ValueError):
     pass
 
 
+# every key load_config reads; `weights.<scheme>` keys come on top
+CONFIG_KEYS = frozenset({
+    "model.arch", "model.qubits", "model.layers", "model.params", "model.measure_qubit",
+    "device", "data.csv", "data.schema", "data.synthetic.rows", "data.synthetic.flip",
+    "s_blk", "eps_syn", "k_max", "max_candidates", "opt.starts", "opt.iterations", "schemes",
+    "train.iterations", "train.learning_rate", "train.gamma", "train.epsilon_start",
+    "train.epsilon_final", "train.target_sync_period", "train.replay_capacity",
+    "train.batch_size", "train.hidden", "eval.split", "eval.r_twirls", "eval.fill",
+    "seed", "output_dir",
+})
+
+
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name and config hash."""
 
@@ -128,9 +140,9 @@ def _hash_config(kv: dict[str, str]) -> str:
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse the flat key-value experiment file; overrides replace keys before
-    hashing so a changed run is a different config. Values that do not parse,
-    and bad training, weight, evaluation and scheme settings, raise
-    ConfigError here, before any stage runs."""
+    hashing so a changed run is a different config. Unknown keys, values that
+    do not parse, and bad training, weight, evaluation and scheme settings
+    raise ConfigError here, before any stage runs."""
     path = Path(path)
     try:
         kv = _parse_kv(path.read_text())
@@ -138,6 +150,9 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"cannot read config {path}: {exc}")
     if overrides:
         kv.update({k: v for k, v in overrides.items() if v is not None})
+    unknown = sorted(k for k in kv if k not in CONFIG_KEYS and not k.startswith("weights."))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
 
     def get(key: str, default: str | None = None) -> str:
         if key in kv:

@@ -87,16 +87,6 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n_
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def apply_gate(state: np.ndarray, g: Gate) -> np.ndarray:
-    """Act with a gate on a statevector; qubit validity checked by caller shape."""
-    n = int(round(math.log2(state.shape[0])))
-    if any(q >= n for q in g.qubits):
-        raise ValueError(f"gate {g} out of range for {n} qubits")
-    tensor = state.reshape([2] * n)
-    tensor = _apply_matrix(tensor, gate_matrix(g), g.qubits, n)
-    return tensor.reshape(-1)
-
-
 def simulate_state(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Noiseless statevector after the circuit, starting from |0...0> by default."""
     if circuit.num_qubits > STATEVECTOR_QUBIT_CAP:
@@ -122,12 +112,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates:
         u = _apply_matrix(u, gate_matrix(g), g.qubits, n)
     return u.reshape(dim, dim)
-
-
-def assert_unitary(u: np.ndarray, tol: float = 1e-9) -> None:
-    dim = u.shape[0]
-    if np.abs(u.conj().T @ u - np.eye(dim)).max() > tol:
-        raise ValueError("matrix is not unitary within tolerance")
 
 
 # --- measurement -------------------------------------------------------------

@@ -149,16 +149,20 @@ def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-2] + (da * db, da * db))
 
 
-def _embed_cnot(num_qubits: int, control: int, target: int) -> np.ndarray:
-    """CNOT embedded in the 2^num_qubits space (identity elsewhere)."""
-    gates = (Gate(GateKind.CNOT, (control, target)),)
-    return circuit_unitary(Circuit(num_qubits, gates))
+def _cnot_rows(num_qubits: int, control: int, target: int) -> np.ndarray:
+    """Row order that applies a CNOT by indexing: row i of the product is row
+    i of the operand with the target bit flipped when the control bit is set
+    (qubit 0 is the most significant bit)."""
+    idx = np.arange(2**num_qubits)
+    flip = (idx & (1 << (num_qubits - 1 - control))) != 0
+    return np.where(flip, idx ^ (1 << (num_qubits - 1 - target)), idx)
 
 
 def _template_unitaries(template: SynthesisTemplate, params: np.ndarray) -> np.ndarray:
     """(B, P) angle batch -> (B, d, d) circuit unitaries."""
     nq = template.num_qubits
     per_layer = 3 * nq
+    cnot_rows = [_cnot_rows(nq, c, t) for c, t in template.placements]
 
     def layer(offset: int) -> np.ndarray:
         mats = [
@@ -175,9 +179,8 @@ def _template_unitaries(template: SynthesisTemplate, params: np.ndarray) -> np.n
         return out
 
     u = layer(0)
-    for j, (c, t) in enumerate(template.placements):
-        u = _embed_cnot(nq, c, t) @ u
-        u = layer(per_layer * (j + 1)) @ u
+    for j, rows in enumerate(cnot_rows):
+        u = layer(per_layer * (j + 1)) @ u[:, rows]
     return u
 
 
@@ -282,7 +285,7 @@ def generate_candidates(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> CandidateList:
     """Search templates for k = 0..k_max and all (capped) CNOT placements;
-    collect every fit within eps_syn, dedupe, sort by (cnots, distance)."""
+    collect every fit within eps_syn, sort by (cnots, distance)."""
     nq = len(part.qubits)
     if k_max is None:
         k_max = default_k_max(nq)
@@ -299,12 +302,9 @@ def generate_candidates(
             cand = fit_template(template, part.target_unitary, eps_syn, opt, fit_rng)
             if cand is not None:
                 found.append(cand)
-    # dedupe gate-identical circuits, keeping the first (lowest k, pattern)
-    unique: dict[tuple, Candidate] = {}
-    for c in found:
-        key = tuple((g.kind, g.qubits, g.params) for g in c.circuit.gates)
-        unique.setdefault(key, c)
-    ordered = sorted(unique.values(), key=lambda c: (c.cnots, c.distance))
+    # every (k, placement pattern) is fitted once, and its CNOT layout alone
+    # sets its circuit apart, so no two candidates share a gate list
+    ordered = sorted(found, key=lambda c: (c.cnots, c.distance))
     if not ordered:
         raise SynthesisError(
             f"no candidate within eps_syn={eps_syn} for partition {part.index}; "

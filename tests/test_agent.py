@@ -9,16 +9,13 @@ from qfairdeploy.agent import (
     ValueNetwork,
     action_slice,
     compute_reward,
-    reward_for_state,
     run_search,
     save_curves,
     save_selections,
     load_selections,
     select_action,
     state_tensor,
-    td_loss,
     td_target,
-    tensor_to_matrix,
     train_step,
 )
 from qfairdeploy.seeding import spawn
@@ -53,7 +50,7 @@ class TestStateTensor:
         from conftest import random_unitary
         u = random_unitary(rng, 4)
         t = state_tensor(AgentState((), u))
-        np.testing.assert_array_equal(tensor_to_matrix(t), u)
+        np.testing.assert_array_equal(t[..., 0] + 1j * t[..., 1], u)
 
 
 class FakeList:
@@ -204,15 +201,6 @@ class TestTdOps:
     def test_gamma_zero(self):
         assert td_target(0.5, 123.0, 0.0) == 0.5
 
-    def test_loss_zero_at_match(self):
-        assert td_loss(2.0, 2.0) == 0.0
-
-    def test_loss_value(self):
-        assert td_loss(3.0, 2.98) == pytest.approx(0.0004)
-
-    def test_loss_symmetric(self):
-        assert td_loss(1.3, 0.4) == td_loss(0.4, 1.3)
-
 
 def _toy_transitions(rng, net_in=8, n_actions=3, count=6):
     out = []
@@ -279,10 +267,9 @@ class TestDeploymentEnv:
         assert r == pytest.approx(0.5 * acc, abs=1e-12)
 
     def test_single_partition_prefix_equals_direct_eval(self, toy):
-        state = AgentState((1,), np.eye(4))
-        via_op = reward_for_state(state, toy.partitions, toy.lists, toy.model,
-                                  toy.device, toy.data, RewardWeights(0.5, 0.5), seed=5)
-        assert via_op == pytest.approx(toy.env.reward((1,)), abs=1e-12)
+        fresh = DeploymentEnv(toy.partitions, toy.lists, toy.model, toy.device, toy.data,
+                              RewardWeights(0.5, 0.5), seed=5)
+        assert fresh.reward((1,)) == pytest.approx(toy.env.reward((1,)), abs=1e-12)
 
     def test_reward_memoized(self, toy):
         env = toy.env

@@ -86,6 +86,8 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     "eval.r_twirls 0",
     "schemes quest,rl9",
     "schemes quest,greedy",
+    "train.iteratons 5",
+    "eval.twirls 4",
 ])
 def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys, line):
     toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins

@@ -129,7 +129,7 @@ class TestAccumulateP:
         prev = 0.0
         for _ in range(6):
             q1, q2 = rng.choice(3, size=2, replace=False)
-            c = c.appended(gate("cnot", int(q1), int(q2)))
+            c = Circuit(3, c.gates + (gate("cnot", int(q1), int(q2)),))
             p = accumulate_p(c, dev).p_total
             assert p >= prev - 1e-12
             prev = p

@@ -134,6 +134,14 @@ class TestEstimateLipschitz:
         assert est.degenerate_pairs == 1
         assert est.pairs_examined == 3
 
+    def test_repeated_rows_always_degenerate(self, rng):
+        # an identical pair's trace distance rounds to anything from 0 to
+        # ~3e-8, so every copy must fall under the tolerance, not some of them
+        copies = np.array([1, 2, 3] * 4)
+        features = np.repeat(rng.uniform(0.0, 1.0, size=(len(copies), 4)), copies, axis=0)
+        est = estimate_lipschitz(toy_model(4), None, make_dataset(features))
+        assert est.degenerate_pairs == int(np.sum(copies * (copies - 1) // 2))
+
     def test_bound_consistency_after_estimation(self):
         data = make_dataset(np.array([[0.1, 0.8], [0.4, 0.2], [0.6, 0.55], [0.95, 0.35]]))
         model = toy_model(2, seed=3)

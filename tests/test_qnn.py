@@ -1,12 +1,18 @@
 import csv
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, cnot_count, gate
+from qfairdeploy.device import DeviceModel
 from qfairdeploy.partition import partition, recombine
 from qfairdeploy.qnn import (
+    ARCHS,
     Dataset,
     DatasetSchema,
     accuracy,
@@ -110,6 +116,28 @@ class TestPredict:
         assert (label, score) == (0, 0.0)
 
 
+@st.composite
+def _noisy_accuracy_case(draw):
+    """A random model and dataset on a fully connected device with random
+    edge, crosstalk and uniform rates and readout confusion, all below the
+    rates at which the survival 1 - P could reach 0."""
+    n = draw(st.integers(1, 4))
+    model = toy_model(n, layers=draw(st.integers(1, 2)), seed=draw(st.integers(0, 10**6)),
+                      arch=draw(st.sampled_from(ARCHS)))
+    data = synthetic_dataset(rows=draw(st.integers(4, 20)), num_features=n,
+                             seed=draw(st.integers(0, 10**6)), flip=draw(st.floats(0.0, 0.5)))
+    rate = st.floats(0.0, 0.3)
+    device = DeviceModel(
+        name="random", num_qubits=n,
+        cnot_error={e: draw(rate) for e in itertools.combinations(range(n), 2)},
+        crosstalk_default=draw(st.floats(0.0, 0.05)),
+        readout_confusion={q: np.array([[1.0 - a, a], [b, 1.0 - b]])
+                           for q, a, b in ((q, draw(rate), draw(rate)) for q in range(n))},
+        uniform_depolarizing=draw(st.floats(0.0, 0.9)),
+    )
+    return model, data, device
+
+
 class TestAccuracy:
     def _constant_dataset(self, label: int) -> Dataset:
         feats = np.full((6, 1), 0.0)
@@ -154,6 +182,15 @@ class TestAccuracy:
         data = synthetic_dataset(rows=10, num_features=2, seed=6, train_fraction=1.0)
         with pytest.raises(ValueError):
             accuracy(toy_model(2), data, "test", None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_accuracy_case())
+    def test_noise_never_changes_exact_accuracy(self, case):
+        # (1 - P) * score + P / 2 moves a score toward 1/2 without crossing it
+        # while 1 - P > 0, and mitigation undoes readout confusion exactly
+        model, data, device = case
+        for split in ("train", "test"):
+            assert accuracy(model, data, split, device) == accuracy(model, data, split, None)
 
 
 class TestSyntheticDataset:

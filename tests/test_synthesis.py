@@ -11,6 +11,7 @@ from qfairdeploy.synthesis import (
     OptimizerConfig,
     SynthesisError,
     SynthesisTemplate,
+    _template_unitaries,
     fit_template,
     generate_candidates,
     hs_distance,
@@ -70,6 +71,16 @@ class TestTemplates:
     def test_bad_placement(self):
         with pytest.raises(ValueError):
             SynthesisTemplate(2, ((0, 0),))
+
+    @pytest.mark.parametrize("template", [
+        SynthesisTemplate(2, ((0, 1), (1, 0))),
+        SynthesisTemplate(3, ((0, 1), (2, 0), (1, 2), (2, 1), (0, 2), (1, 0))),
+    ])
+    def test_batched_unitaries_match_realized_circuits(self, template, rng):
+        params = rng.uniform(0.0, 2.0 * math.pi, size=(3, template.num_params))
+        batch = _template_unitaries(template, params)
+        for x, u in zip(params, batch):
+            np.testing.assert_allclose(u, circuit_unitary(template.realize(x)), rtol=0, atol=1e-12)
 
 
 class TestFitTemplate:
