@@ -39,11 +39,13 @@ from .qnn import (
 )
 from .seeding import spawn
 from .synthesis import (
+    CacheError,
     CandidateList,
     OptimizerConfig,
     generate_candidates,
     load_candidate_lists,
     save_candidate_lists,
+    verify_candidate_lists,
 )
 
 OUTPUT_DIR_ENV = "QFAIRDEPLOY_OUTPUT_DIR"
@@ -290,11 +292,18 @@ def _synthesis_key(cfg: ExperimentConfig, model: QnnModel) -> str:
 
 def synthesize(cfg: ExperimentConfig, model: QnnModel) -> tuple[list[Partition], list[CandidateList]]:
     """Partition the ansatz and produce candidate lists, cached on disk keyed
-    by the synthesis-relevant part of the config."""
+    by the synthesis-relevant part of the config. A cache that cannot be read
+    or fails re-verification against the partitions counts as a miss and is
+    replaced."""
     parts = partition(model.circuit, cfg.s_blk)
     cache_dir = Path(cfg.output_dir) / "cache" / f"synth-{_synthesis_key(cfg, model)}"
-    if (cache_dir / "index.csv").exists():
-        return parts, load_candidate_lists(cache_dir)
+    if cache_dir.exists():
+        try:
+            lists = load_candidate_lists(cache_dir)
+            verify_candidate_lists(lists, parts, cfg.eps_syn)
+            return parts, lists
+        except CacheError:
+            shutil.rmtree(cache_dir, ignore_errors=True)
     lists = [
         generate_candidates(
             p, cfg.eps_syn, cfg.k_max, cfg.opt,

@@ -2,10 +2,10 @@
 CNOTs) to a partition's target unitary, keeping every candidate within the
 unitary-distance budget.
 
-The optimizer is a multi-start first-order descent with central-difference
-gradients on the squared objective 1 - |Tr(U^dag T)|^2 / d^2. All starts run
-in lockstep as one numpy batch, so objective and gradient evaluations are a
-handful of vectorized matmuls per iteration.
+The optimizer is a multi-start first-order descent on the squared objective
+1 - |Tr(U^dag T)|^2 / d^2 with exact gradients from the adjoint method: one
+forward sweep of prefix products and one backward sweep per step, whatever
+the angle count. All starts run in lockstep as one numpy batch.
 """
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ from .seeding import spawn
 
 class SynthesisError(RuntimeError):
     """No candidate within the budget for a partition."""
+
+
+class CacheError(ValueError):
+    """An on-disk candidate cache that cannot be read or fails re-verification."""
 
 
 def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -52,7 +56,6 @@ STEP_DECAY = 0.5
 STEP_GROW = 1.5  # re-growth on improvement; pure halving stalls far from optimum
 MAX_STEP = 1.0
 MIN_STEP = 1e-14
-FD_STEP = 1e-6  # central-difference offset
 
 
 @dataclass(frozen=True)
@@ -129,18 +132,27 @@ class CandidateList:
         return len(self.candidates)
 
 
-# --- batched objective --------------------------------------------------------
+# --- batched objective and its adjoint gradient ---------------------------------
+
+# U3 entries, row-major: [cos, -e^{i lam} sin, e^{i phi} sin, e^{i(phi+lam)} cos]
+# of theta/2. d/dtheta swaps cos and -sin and halves; d/dphi multiplies the
+# lower row by i, d/dlam the right column.
+_U3_SIGN = np.array([1.0, -1.0, 1.0, 1.0])
+_D_PHI = np.array([0.0, 0.0, 1j, 1j])
+_D_LAM = np.array([0.0, 1j, 0.0, 1j])
 
 
-def _u3_batch(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(B,) angle arrays -> (B, 2, 2) U3 matrices."""
+def _u3_with_derivatives(
+    theta: np.ndarray, phi: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angle arrays of one shape S -> U3 matrices (S, 2, 2) and their
+    theta/phi/lam derivatives (S, 3, 2, 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -np.exp(1j * lam) * s
-    out[..., 1, 0] = np.exp(1j * phi) * s
-    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
-    return out
+    phase = np.exp(1j * np.stack([np.zeros_like(phi), lam, phi, phi + lam], axis=-1)) * _U3_SIGN
+    u = np.stack([c, s, s, c], axis=-1) * phase
+    d_theta = np.stack([-s, c, c, -s], axis=-1) * (0.5 * phase)
+    du = np.stack([d_theta, u * _D_PHI, u * _D_LAM], axis=-2)
+    return u.reshape(theta.shape + (2, 2)), du.reshape(theta.shape + (3, 2, 2))
 
 
 def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,44 +164,83 @@ def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cnot_rows(num_qubits: int, control: int, target: int) -> np.ndarray:
     """Row order that applies a CNOT by indexing: row i of the product is row
     i of the operand with the target bit flipped when the control bit is set
-    (qubit 0 is the most significant bit)."""
+    (qubit 0 is the most significant bit). The order is its own inverse."""
     idx = np.arange(2**num_qubits)
     flip = (idx & (1 << (num_qubits - 1 - control))) != 0
     return np.where(flip, idx ^ (1 << (num_qubits - 1 - target)), idx)
 
 
-def _template_unitaries(template: SynthesisTemplate, params: np.ndarray) -> np.ndarray:
-    """(B, P) angle batch -> (B, d, d) circuit unitaries."""
-    nq = template.num_qubits
-    per_layer = 3 * nq
-    cnot_rows = [_cnot_rows(nq, c, t) for c, t in template.placements]
-
-    def layer(offset: int) -> np.ndarray:
-        mats = [
-            _u3_batch(
-                params[:, offset + 3 * q],
-                params[:, offset + 3 * q + 1],
-                params[:, offset + 3 * q + 2],
-            )
-            for q in range(nq)
-        ]
-        out = mats[0]
-        for m in mats[1:]:
-            out = _kron_batch(out, m)
-        return out
-
-    u = layer(0)
-    for j, rows in enumerate(cnot_rows):
-        u = layer(per_layer * (j + 1)) @ u[:, rows]
-    return u
+def _u3_layers(num_qubits: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, P) angle batch -> per-qubit U3 matrices (B, K+1, n, 2, 2), their
+    theta/phi/lam derivatives (B, K+1, n, 3, 2, 2) and the layer products
+    (B, K+1, d, d), qubit 0 the most significant factor."""
+    ang = params.reshape(params.shape[0], -1, num_qubits, 3)
+    u, du = _u3_with_derivatives(ang[..., 0], ang[..., 1], ang[..., 2])
+    layers = u[:, :, 0]
+    for q in range(1, num_qubits):
+        layers = _kron_batch(layers, u[:, :, q])
+    return u, du, layers
 
 
-def _objective(template: SynthesisTemplate, params: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Squared distance 1 - |Tr(U^dag T)|^2 / d^2 for a (B, P) batch."""
-    u = _template_unitaries(template, params)
+def _forward(layers: np.ndarray, cnot_rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Forward sweep over a (B, K+1, d, d) layer stack: the product of
+    everything ahead of each U3 layer (CNOT slot j included, the identity
+    ahead of layer 0), and the whole circuit unitary (B, d, d)."""
+    before = np.empty_like(layers)
+    before[:, 0] = np.eye(layers.shape[-1])
+    unitary = layers[:, 0]
+    for j, rows in enumerate(cnot_rows, 1):
+        before[:, j] = unitary[:, rows]
+        unitary = layers[:, j] @ before[:, j]
+    return before, unitary
+
+
+def _partial_trace_subscripts(num_qubits: int) -> list[str]:
+    """einsum subscripts tracing a (2,)*2n operator down to qubit q, per q."""
+    rows, cols = "abc"[:num_qubits], "def"[:num_qubits]
+    return [
+        "..." + rows + "".join(cols[p] if p == q else rows[p] for p in range(num_qubits))
+        + "->..." + rows[q] + cols[q]
+        for q in range(num_qubits)
+    ]
+
+
+_PARTIAL_TRACES = {n: _partial_trace_subscripts(n) for n in (1, 2, 3)}
+
+
+def _value_and_grad(
+    num_qubits: int, cnot_rows: list[np.ndarray], params: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance f = 1 - |Tr(U^dag T)|^2 / d^2 of a (B, P) batch and
+    its exact gradient (B, P), by one forward and one backward sweep (the
+    adjoint method).
+
+    With U = A_j L_j B_j around U3 layer j, dt = Tr(dL_j^dag A_j^dag T B_j^dag)
+    / d. The backward sweep carries W_j = A_j^dag T down the layers;
+    N_j = L_j^dag W_j B_j^dag traced down to qubit q gives R_q, and
+    Tr(du^dag u R_q) is the derivative for each angle of that qubit's U3.
+    Then df = -2 Re(conj(t) dt).
+    """
     d = target.shape[0]
-    overlap = np.abs(np.einsum("bij,ij->b", u.conj(), target)) / d
-    return np.maximum(0.0, 1.0 - overlap * overlap)
+    u, du, layers = _u3_layers(num_qubits, params)
+    before, unitary = _forward(layers, cnot_rows)
+    t = np.einsum("bij,ij->b", unitary.conj(), target) / d
+    overlap = np.abs(t)
+    f = np.maximum(0.0, 1.0 - overlap * overlap)
+
+    layers_dag = layers.conj().swapaxes(-1, -2)
+    adjoint = np.empty_like(layers)  # L_j^dag W_j
+    w = target
+    for j in range(layers.shape[1] - 1, -1, -1):
+        np.matmul(layers_dag[:, j], w, out=adjoint[:, j])
+        if j:
+            w = adjoint[:, j][:, cnot_rows[j - 1]]
+    n_op = adjoint @ before.conj().swapaxes(-1, -2)
+    n_op = n_op.reshape(n_op.shape[:2] + (2,) * (2 * num_qubits))
+    reduced = np.stack([np.einsum(sub, n_op) for sub in _PARTIAL_TRACES[num_qubits]], axis=2)
+    dt = np.einsum("bjqkxy,bjqxy->bjqk", du.conj(), u @ reduced) / d
+    grad = -2.0 * (t.conj()[:, None, None, None] * dt).real
+    return f, grad.reshape(params.shape)
 
 
 def fit_template(
@@ -212,35 +263,30 @@ def fit_template(
     opt = opt or OptimizerConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    n_starts, n_params = opt.starts, template.num_params
-    x = rng.uniform(0.0, 2.0 * math.pi, size=(n_starts, n_params))
-    f = _objective(template, x, target)
+    nq = template.num_qubits
+    cnot_rows = [_cnot_rows(nq, c, t) for c, t in template.placements]
+    x = rng.uniform(0.0, 2.0 * math.pi, size=(opt.starts, template.num_params))
+    f, grad = _value_and_grad(nq, cnot_rows, x, target)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite synthesis objective")
-    lr = np.full(n_starts, STEP_SIZE)
+    lr = np.full(opt.starts, STEP_SIZE)
     target_sq = (eps_syn / 10.0) ** 2
-    # central differences for every start at once: stack the 2P shifted
-    # copies of each start into one batch evaluation
-    shifts = np.concatenate([FD_STEP * np.eye(n_params), -FD_STEP * np.eye(n_params)])
 
     for _ in range(opt.iterations):
-        active = (f > target_sq) & (lr > MIN_STEP)
-        if not active.any():
+        active = np.flatnonzero((f > target_sq) & (lr > MIN_STEP))
+        if not active.size:
             break
-        pts = (x[:, None, :] + shifts[None, :, :]).reshape(-1, n_params)
-        vals = _objective(template, pts, target).reshape(n_starts, 2 * n_params)
-        grad = (vals[:, :n_params] - vals[:, n_params:]) / (2.0 * FD_STEP)
-
-        prop = x - lr[:, None] * grad
-        f_prop = _objective(template, prop, target)
+        prop = x[active] - lr[active, None] * grad[active]
+        f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, target)
         if not np.all(np.isfinite(f_prop)):
             raise FloatingPointError("non-finite synthesis objective")
-        improved = f_prop < f
-        accept = improved & active
-        x[accept] = prop[accept]
-        f[accept] = f_prop[accept]
+        improved = f_prop < f[active]
+        accept = active[improved]
+        x[accept] = prop[improved]
+        f[accept] = f_prop[improved]
+        grad[accept] = grad_prop[improved]  # the gradient at the new point
         lr[accept] = np.minimum(lr[accept] * STEP_GROW, MAX_STEP)
-        lr[active & ~improved] *= STEP_DECAY
+        lr[active[~improved]] *= STEP_DECAY
 
     best = int(np.argmin(f))
     circuit = template.realize(x[best])
@@ -332,18 +378,52 @@ def save_candidate_lists(lists: list[CandidateList], directory: str | Path) -> N
 
 
 def load_candidate_lists(directory: str | Path) -> list[CandidateList]:
+    """Read lists written by save_candidate_lists; CacheError when the index
+    or a circuit file is missing or does not parse."""
     directory = Path(directory)
     rows_by_partition: dict[int, list[Candidate]] = {}
-    with open(directory / "index.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            cand = Candidate(
-                circuit=load_circuit(directory / row["file"]),
-                distance=float(row["distance"]),
-                cnots=int(row["cnots"]),
-                depth=int(row["depth"]),
-            )
-            rows_by_partition.setdefault(int(row["partition"]), []).append(cand)
-    return [
-        CandidateList(idx, tuple(cands))
-        for idx, cands in sorted(rows_by_partition.items())
-    ]
+    try:
+        with open(directory / "index.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                cand = Candidate(
+                    circuit=load_circuit(directory / row["file"]),
+                    distance=float(row["distance"]),
+                    cnots=int(row["cnots"]),
+                    depth=int(row["depth"]),
+                )
+                rows_by_partition.setdefault(int(row["partition"]), []).append(cand)
+        return [
+            CandidateList(idx, tuple(cands))
+            for idx, cands in sorted(rows_by_partition.items())
+        ]
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"unreadable candidate cache {directory}: {exc}") from exc
+
+
+def verify_candidate_lists(
+    lists: list[CandidateList], parts: list[Partition], eps_syn: float
+) -> None:
+    """Re-verify loaded lists against the partitions they were built for.
+
+    Raises CacheError unless there is one list per partition, in order, and
+    every candidate's recomputed distance to its partition's target is within
+    eps_syn and equals its recorded distance (to 1e-9 relative, which absorbs
+    only float rounding), with the recorded CNOT count and depth.
+    """
+    if [cl.partition_index for cl in lists] != [p.index for p in parts]:
+        raise CacheError(f"cache lists partitions {[cl.partition_index for cl in lists]}, "
+                         f"expected {[p.index for p in parts]}")
+    for cl, part in zip(lists, parts):
+        for i, cand in enumerate(cl.candidates):
+            where = f"candidate {i} of partition {part.index}"
+            if cand.circuit.num_qubits != len(part.qubits):
+                raise CacheError(f"{where} acts on {cand.circuit.num_qubits} qubits, "
+                                 f"the partition on {len(part.qubits)}")
+            distance = hs_distance(circuit_unitary(cand.circuit), part.target_unitary)
+            recorded = math.isclose(distance, cand.distance, rel_tol=1e-9, abs_tol=1e-15)
+            if distance > eps_syn or not recorded:
+                raise CacheError(f"{where} is at distance {distance!r}, "
+                                 f"recorded {cand.distance!r}, budget {eps_syn!r}")
+            if (cand.cnots, cand.depth) != (_cnot_count(cand.circuit), _depth(cand.circuit)):
+                raise CacheError(f"{where} records {cand.cnots} CNOTs and depth {cand.depth}, "
+                                 "not its circuit's")

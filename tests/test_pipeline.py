@@ -15,11 +15,19 @@ from qfairdeploy.pipeline import (
     baseline_random,
     emit_report,
     load_config,
+    load_model,
     read_report_json,
     run_experiment,
 )
+from qfairdeploy.cli import main as cli_main
+from qfairdeploy.partition import partition
 from qfairdeploy.seeding import spawn
-from qfairdeploy.synthesis import Candidate, CandidateList
+from qfairdeploy.synthesis import (
+    Candidate,
+    CandidateList,
+    load_candidate_lists,
+    verify_candidate_lists,
+)
 from qfairdeploy.circuits import Circuit, gate
 from qfairdeploy.toys import two_partition_instance
 
@@ -195,6 +203,32 @@ class TestRunExperiment:
         first = (out / "reports.csv").read_bytes()
         run_experiment(cfg)  # cache is warm now
         assert (out / "reports.csv").read_bytes() == first
+
+
+def _swap_candidate(cache: Path) -> None:
+    shutil.copyfile(cache / "p001_c00.qc", cache / "p000_c00.qc")
+
+
+def _delete_candidate(cache: Path) -> None:
+    (cache / "p000_c00.qc").unlink()
+
+
+def _garbage_index(cache: Path) -> None:
+    (cache / "index.csv").write_bytes(b"\x00not,a\ncandidate index\xff\n")
+
+
+@pytest.mark.parametrize("corrupt", [_swap_candidate, _delete_candidate, _garbage_index])
+def test_corrupt_cache_is_a_miss_and_rebuilt(corrupt, toy_run, tmp_path, monkeypatch):
+    cfg, _, out = toy_run
+    shutil.copytree(out / "cache", tmp_path / "cache")
+    (cache,) = (tmp_path / "cache").glob("synth-*")
+    corrupt(cache)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert cli_main(["evaluate", str(REPO_CONFIG)]) == 0
+    assert (tmp_path / "reports.csv").read_bytes() == GOLDEN_REPORTS.read_bytes()
+    assert list((tmp_path / "cache").iterdir()) == [cache]
+    parts = partition(load_model(cfg).circuit, cfg.s_blk)
+    verify_candidate_lists(load_candidate_lists(cache), parts, cfg.eps_syn)
 
 
 def test_rl_beats_random_mean_over_seeds():

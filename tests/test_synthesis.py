@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, gate
 from qfairdeploy.partition import Partition, recombine
@@ -11,7 +13,10 @@ from qfairdeploy.synthesis import (
     OptimizerConfig,
     SynthesisError,
     SynthesisTemplate,
-    _template_unitaries,
+    _cnot_rows,
+    _forward,
+    _u3_layers,
+    _value_and_grad,
     fit_template,
     generate_candidates,
     hs_distance,
@@ -78,9 +83,45 @@ class TestTemplates:
     ])
     def test_batched_unitaries_match_realized_circuits(self, template, rng):
         params = rng.uniform(0.0, 2.0 * math.pi, size=(3, template.num_params))
-        batch = _template_unitaries(template, params)
+        rows = [_cnot_rows(template.num_qubits, c, t) for c, t in template.placements]
+        batch = _forward(_u3_layers(template.num_qubits, params)[2], rows)[1]
         for x, u in zip(params, batch):
             np.testing.assert_allclose(u, circuit_unitary(template.realize(x)), rtol=0, atol=1e-12)
+
+
+@st.composite
+def _gradient_case(draw):
+    """A template on 1..3 qubits with 0..4 CNOTs placed either way round, a
+    batch of angle vectors and a random target."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4)) if n > 1 else 0
+    placements = tuple(tuple(draw(st.permutations(range(n)))[:2]) for _ in range(k))
+    template = SynthesisTemplate(n, placements)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.uniform(0.0, 2.0 * math.pi, size=(2, template.num_params))
+    return template, params, random_unitary(rng, 2**n)
+
+
+class TestValueAndGrad:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_gradient_case())
+    def test_matches_central_differences_of_realized_circuits(self, case):
+        template, params, target = case
+        rows = [_cnot_rows(template.num_qubits, c, t) for c, t in template.placements]
+        f, grad = _value_and_grad(template.num_qubits, rows, params, target)
+        d = target.shape[0]
+        h = 1e-6
+
+        def objective(x):
+            return hs_distance(circuit_unitary(template.realize(x)), target) ** 2
+
+        for x, fx, gx in zip(params, f, grad):
+            u = circuit_unitary(template.realize(x))
+            assert fx == pytest.approx(1.0 - abs(np.trace(u.conj().T @ target)) ** 2 / d**2,
+                                       abs=1e-12)
+            fd = [(objective(x + h * e) - objective(x - h * e)) / (2.0 * h)
+                  for e in np.eye(template.num_params)]
+            np.testing.assert_allclose(gx, fd, rtol=0, atol=1e-7)
 
 
 class TestFitTemplate:
