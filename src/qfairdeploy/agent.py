@@ -354,10 +354,10 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
     for episode in range(cfg.iterations):
         epsilon = cfg.epsilon_at(episode)
         state = env.blank_state()
+        tensor = state_tensor(state)
         episode_max_q = -np.inf
         while state.next_partition < env.num_partitions:
             slice_ = action_slice(state, env.lists)
-            tensor = state_tensor(state)
             qvalues = policy.forward(tensor.ravel())
             episode_max_q = max(episode_max_q, float(qvalues[slice_.start:slice_.stop].max()))
             if state.next_partition == 0:
@@ -368,15 +368,14 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
             reward = env.reward(nxt.selections)
             terminal = nxt.next_partition == env.num_partitions
             if terminal:
-                transition = Transition(tensor, action, reward, None, None)
+                nxt_tensor, nxt_window = None, None
             else:
+                # the next step's input, and the one copy the replay buffer holds
+                nxt_tensor = state_tensor(nxt)
                 nxt_slice = action_slice(nxt, env.lists)
-                transition = Transition(
-                    tensor, action, reward, state_tensor(nxt),
-                    (nxt_slice.start, nxt_slice.stop),
-                )
-            replay.append(transition)
-            state = nxt
+                nxt_window = (nxt_slice.start, nxt_slice.stop)
+            replay.append(Transition(tensor, action, reward, nxt_tensor, nxt_window))
+            state, tensor = nxt, nxt_tensor
 
         final = env.reward(state.selections)
         if final > best_reward:
@@ -413,9 +412,3 @@ def save_selections(selections: tuple[int, ...], path: str | Path) -> None:
     lines = [f"{p} {c}" for p, c in enumerate(selections)]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_selections(path: str | Path) -> tuple[int, ...]:
-    pairs = [tuple(int(v) for v in ln.split()) for ln in Path(path).read_text().split("\n") if ln.strip()]
-    if [p for p, _ in pairs] != list(range(len(pairs))):
-        raise ValueError("selection file must list partitions 0..N-1 in order")
-    return tuple(c for _, c in pairs)

@@ -72,13 +72,6 @@ class Gate:
         return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.params)
 
 
-def gate(kind: GateKind | str, *qubits: int, params: tuple[float, ...] = ()) -> Gate:
-    """Convenience constructor accepting the kind by name."""
-    if isinstance(kind, str):
-        kind = GateKind(kind.lower())
-    return Gate(kind, tuple(qubits), tuple(float(p) for p in params))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list over a fixed qubit register."""

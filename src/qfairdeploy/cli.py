@@ -17,6 +17,7 @@ from .synthesis import SynthesisError
 from .pipeline import (
     ConfigError,
     StageError,
+    check_routable,
     emit_report,
     load_config,
     load_data,
@@ -96,6 +97,7 @@ def cmd_fairness_scan(args) -> int:
     cfg = _config(args)
     model = load_model(cfg)
     device = load_device_ref(cfg.device_ref)
+    check_routable(model, device)
     data = load_data(cfg)
     rows = data.split(args.split)
     if args.max_rows:

@@ -54,7 +54,6 @@ class DeviceModel:
     crosstalk: dict[frozenset, float] = field(default_factory=dict)
     crosstalk_default: float = 0.0
     readout_confusion: dict[int, np.ndarray] = field(default_factory=dict)
-    shots_default: int = 8192
     uniform_depolarizing: float = 0.0
 
     def __post_init__(self):
@@ -297,27 +296,8 @@ def estimate_p(
 # --- device files ------------------------------------------------------------------
 
 
-def save_device(device: DeviceModel, path: str | Path) -> None:
-    lines = [
-        f"name {device.name}",
-        f"qubits {device.num_qubits}",
-        f"shots_default {device.shots_default}",
-        f"uniform_depolarizing {'%.17g' % device.uniform_depolarizing}",
-        f"crosstalk_default {'%.17g' % device.crosstalk_default}",
-    ]
-    for (a, b), r in sorted(device.cnot_error.items()):
-        lines.append(f"edge {a} {b} {'%.17g' % r}")
-    for key, r in sorted(device.crosstalk.items(), key=lambda kv: sorted(kv[0])):
-        (a, b), (c, d) = sorted(key)
-        lines.append(f"crosstalk {a} {b} {c} {d} {'%.17g' % r}")
-    for q in sorted(device.readout_confusion):
-        m = device.readout_confusion[q]
-        lines.append(f"readout {q} {'%.17g' % m[0, 1]} {'%.17g' % m[1, 0]}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def parse_device(text: str) -> DeviceModel:
-    name, num_qubits, shots_default = "", 0, 8192
+    name, num_qubits = "", 0
     uniform_dep, crosstalk_default = 0.0, 0.0
     cnot_error: dict[tuple[int, int], float] = {}
     crosstalk: dict[frozenset, float] = {}
@@ -332,8 +312,6 @@ def parse_device(text: str) -> DeviceModel:
             name = fields[1]
         elif key == "qubits":
             num_qubits = int(fields[1])
-        elif key == "shots_default":
-            shots_default = int(fields[1])
         elif key == "uniform_depolarizing":
             uniform_dep = float(fields[1])
         elif key == "crosstalk_default":
@@ -358,7 +336,6 @@ def parse_device(text: str) -> DeviceModel:
         crosstalk=crosstalk,
         crosstalk_default=crosstalk_default,
         readout_confusion=confusion,
-        shots_default=shots_default,
         uniform_depolarizing=uniform_dep,
     )
 

@@ -5,10 +5,9 @@ difference is the total-variation distance between measured outcome
 distributions. The empirical Lipschitz constant is the maximum output/input
 ratio over dataset pairs, a documented lower bound on the true constant.
 
-Bias pairs, the Lipschitz estimate and the group view share one pass over
-the pairs: each row is simulated once, then compared against all later rows
-at once, so a scan over n rows needs O(n) extra memory, not the
-n(n-1)/2 pair list.
+Bias pairs and the Lipschitz estimate share one pass over the pairs: each
+row is simulated once, then compared against all later rows at once, so a
+scan over n rows needs O(n) extra memory, not the n(n-1)/2 pair list.
 
 The device error rate p doubles as the fairness proxy score: under pure
 depolarizing noise the noisy constant contracts to (1 - p) times the
@@ -134,40 +133,6 @@ def fairness_score(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p outside [0, 1]")
     return p
-
-
-# --- feature-group reporting view ------------------------------------------------
-
-
-def group_disparity(
-    model: QnnModel,
-    device: DeviceModel | None,
-    data: Dataset,
-    reference_group: str | None = None,
-    rows=None,
-) -> dict[str, float]:
-    """Mean output distance over row pairs that differ in exactly one feature
-    group, normalized to the reference group (first group by default).
-
-    Groups with no qualifying pairs are omitted; a reporting view only.
-    """
-    picked: dict[str, list[np.ndarray]] = {name: [] for name in data.groups}
-    for i, later, _, d_out in _pair_pass(model, device, data, rows):
-        differs = ~np.isclose(data.features[i], data.features[later])
-        touched = {name: differs[:, list(idxs)].any(axis=1) for name, idxs in data.groups.items()}
-        alone = np.sum(list(touched.values()), axis=0) == 1
-        for name, t in touched.items():
-            picked[name].append(d_out[t & alone])
-    values = {name: np.concatenate(v) for name, v in picked.items()}  # n >= 2: never empty lists
-    means = {name: float(np.mean(v)) for name, v in values.items() if v.size}
-    if not means:
-        return {}
-    if reference_group is None:
-        reference_group = next(iter(data.groups))
-    ref = means.get(reference_group)
-    if ref is None or ref <= 0.0:
-        raise ValueError(f"reference group {reference_group!r} has no usable pairs")
-    return {name: v / ref for name, v in means.items()}
 
 
 # --- CSV reports -----------------------------------------------------------------

@@ -24,7 +24,15 @@ from .agent import (
     spawn_seed,
 )
 from .circuits import circuit_to_text, cnot_count, depth, save_circuit
-from .device import BUNDLED_DEVICES, DeviceModel, bundled_device, estimate_p, load_device
+from .device import (
+    BUNDLED_DEVICES,
+    DeviceModel,
+    UnroutedGateError,
+    accumulate_p,
+    bundled_device,
+    estimate_p,
+    load_device,
+)
 from .fairness import fairness_score
 from .partition import Partition, partition, space_size
 from .qnn import (
@@ -65,15 +73,31 @@ class ConfigError(ValueError):
     pass
 
 
+# config key -> (field, parser) of TrainConfig and OptimizerConfig; a key
+# left out of the file keeps the dataclass default
+_TRAIN_KEYS = {
+    "train.iterations": ("iterations", int),
+    "train.learning_rate": ("learning_rate", float),
+    "train.gamma": ("gamma", float),
+    "train.epsilon_start": ("epsilon_start", float),
+    "train.epsilon_final": ("epsilon_final", float),
+    "train.target_sync_period": ("target_sync_period", int),
+    "train.replay_capacity": ("replay_capacity", int),
+    "train.batch_size": ("batch_size", int),
+    "train.hidden": ("hidden_sizes", lambda v: tuple(int(x) for x in v.split(","))),
+}
+_OPT_KEYS = {
+    "opt.starts": ("starts", int),
+    "opt.iterations": ("iterations", int),
+}
+
 # every key load_config reads; `weights.<scheme>` keys come on top
 CONFIG_KEYS = frozenset({
     "model.arch", "model.qubits", "model.layers", "model.params", "model.measure_qubit",
     "device", "data.csv", "data.schema", "data.synthetic.rows", "data.synthetic.flip",
-    "s_blk", "eps_syn", "k_max", "max_candidates", "opt.starts", "opt.iterations", "schemes",
-    "train.iterations", "train.learning_rate", "train.gamma", "train.epsilon_start",
-    "train.epsilon_final", "train.target_sync_period", "train.replay_capacity",
-    "train.batch_size", "train.hidden", "eval.split", "eval.r_twirls", "eval.fill",
-    "seed", "output_dir",
+    "s_blk", "eps_syn", "k_max", "max_candidates", "schemes",
+    "eval.split", "eval.r_twirls", "eval.fill", "seed", "output_dir",
+    *_TRAIN_KEYS, *_OPT_KEYS,
 })
 
 
@@ -135,6 +159,10 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _present_fields(kv: dict[str, str], keys: dict) -> dict:
+    return {name: parse(kv[key]) for key, (name, parse) in keys.items() if key in kv}
+
+
 def _hash_config(kv: dict[str, str]) -> str:
     canon = "\n".join(f"{k} {v}" for k, v in sorted(kv.items()))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -179,23 +207,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
                     raise ConfigError(f"bad weights {value!r} for {key}")
                 weights[key.removeprefix("weights.")] = RewardWeights(a, b)
 
-        hidden = tuple(int(v) for v in get("train.hidden", "256,128").split(","))
-        train = TrainConfig(
-            iterations=int(get("train.iterations", "1000")),
-            learning_rate=float(get("train.learning_rate", "1e-3")),
-            gamma=float(get("train.gamma", "0.99")),
-            epsilon_start=float(get("train.epsilon_start", "0.05")),
-            epsilon_final=float(get("train.epsilon_final", "0.01")),
-            target_sync_period=int(get("train.target_sync_period", "10")),
-            replay_capacity=int(get("train.replay_capacity", "1000")),
-            batch_size=int(get("train.batch_size", "32")),
-            hidden_sizes=hidden,
-            seed=int(get("seed", "0")),
-        )
-        opt = OptimizerConfig(
-            starts=int(get("opt.starts", "8")),
-            iterations=int(get("opt.iterations", "500")),
-        )
+        train = TrainConfig(**_present_fields(kv, _TRAIN_KEYS), seed=int(get("seed", "0")))
+        opt = OptimizerConfig(**_present_fields(kv, _OPT_KEYS))
         s_blk = int(get("s_blk", "2"))
         if s_blk not in (2, 3):
             raise ConfigError(f"s_blk must be 2 or 3, got {s_blk}")
@@ -263,7 +276,19 @@ def load_device_ref(ref: str) -> DeviceModel:
         return bundled_device(ref)
     if not Path(ref).exists():
         raise ConfigError(f"device {ref!r} is neither bundled nor a file")
-    return load_device(ref)
+    try:
+        return load_device(ref)
+    except ValueError as exc:
+        raise ConfigError(f"bad device file {ref}: {exc}") from exc
+
+
+def check_routable(model: QnnModel, device: DeviceModel) -> None:
+    """ConfigError unless every 2-qubit gate of the ansatz sits on a coupling
+    edge of the device, so an unroutable pair stops a run before synthesis."""
+    try:
+        accumulate_p(model.circuit, device)
+    except UnroutedGateError as exc:
+        raise ConfigError(f"the model does not fit the device: {exc}") from exc
 
 
 def load_data(cfg: ExperimentConfig) -> Dataset:
@@ -423,6 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
 
     model = stage("load-model", lambda: load_model(cfg))
     device = stage("load-device", lambda: load_device_ref(cfg.device_ref))
+    check_routable(model, device)
     data = stage("load-data", lambda: load_data(cfg))
     parts, lists = stage("synthesize", lambda: synthesize(cfg, model))
 

@@ -23,13 +23,11 @@ ARCHS = ("c14", "qmlp", "date22", "dac22")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature rows in [0,1], binary labels, named feature groups, and a
-    train/test row split."""
+    """Feature rows in [0,1], binary labels, and a train/test row split."""
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    groups: dict[str, tuple[int, ...]]
     train_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
 
@@ -40,9 +38,6 @@ class Dataset:
             raise ValueError("features must lie in [0, 1]")
         if not set(np.unique(self.labels)) <= {0, 1}:
             raise ValueError("labels must be binary")
-        covered = sorted(i for idxs in self.groups.values() for i in idxs)
-        if covered != list(range(self.num_features)):
-            raise ValueError("feature groups must partition the feature indices")
 
     @property
     def num_features(self) -> int:
@@ -64,7 +59,6 @@ class DatasetSchema:
     label_column: str
     label_positive: str
     label_negative: str | None = None
-    groups: dict[str, tuple[str, ...]] | None = None  # group name -> column names
     train_size: int = 800
     test_size: int = 300
 
@@ -72,7 +66,6 @@ class DatasetSchema:
 def load_schema(path: str | Path) -> DatasetSchema:
     features: tuple[str, ...] = ()
     label, positive, negative = "", "", None
-    groups: dict[str, tuple[str, ...]] = {}
     train_size, test_size = 800, 300
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -88,9 +81,6 @@ def load_schema(path: str | Path) -> DatasetSchema:
             positive = rest
         elif key == "label_negative":
             negative = rest
-        elif key == "group":
-            name, _, cols = rest.partition(" ")
-            groups[name] = tuple(c.strip() for c in cols.split(","))
         elif key == "train_size":
             train_size = int(rest)
         elif key == "test_size":
@@ -99,7 +89,7 @@ def load_schema(path: str | Path) -> DatasetSchema:
             raise ValueError(f"unknown schema key {key!r}")
     if not features or not label or not positive:
         raise ValueError("schema needs 'features', 'label', and 'label_positive'")
-    return DatasetSchema(features, label, positive, negative, groups or None, train_size, test_size)
+    return DatasetSchema(features, label, positive, negative, train_size, test_size)
 
 
 def load_dataset(path: str | Path, schema: DatasetSchema, seed: int = 0) -> Dataset:
@@ -141,28 +131,13 @@ def load_dataset(path: str | Path, schema: DatasetSchema, seed: int = 0) -> Data
     span = np.where(hi > lo, hi - lo, 1.0)
     feats = np.where(hi > lo, (feats - lo) / span, 0.0)  # constant column -> 0
 
-    groups = _resolve_groups(schema, schema.feature_columns)
     return Dataset(
         features=feats,
         labels=labs,
         feature_names=schema.feature_columns,
-        groups=groups,
         train_idx=tuple(range(schema.train_size)),
         test_idx=tuple(range(schema.train_size, need)),
     )
-
-
-def _resolve_groups(schema: DatasetSchema, columns: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
-    if schema.groups is None:
-        return {name: (i,) for i, name in enumerate(columns)}
-    col_index = {c: i for i, c in enumerate(columns)}
-    out = {}
-    for name, cols in schema.groups.items():
-        try:
-            out[name] = tuple(col_index[c] for c in cols)
-        except KeyError as exc:
-            raise ValueError(f"group {name!r} names unknown column {exc}")
-    return out
 
 
 def synthetic_dataset(
@@ -172,8 +147,8 @@ def synthetic_dataset(
     flip: float = 0.0,
     train_fraction: float = 0.6,
 ) -> Dataset:
-    """Seeded linearly separable data with optional label noise; one feature
-    group per feature. Bundled so tests need no external download."""
+    """Seeded linearly separable data with optional label noise. Bundled so
+    tests need no external download."""
     rng = spawn(seed, "synthetic-dataset", rows, num_features)
     feats = rng.uniform(0.0, 1.0, size=(rows, num_features))
     w = rng.normal(size=num_features)
@@ -186,7 +161,6 @@ def synthetic_dataset(
         features=feats,
         labels=labels,
         feature_names=tuple(f"f{i}" for i in range(num_features)),
-        groups={f"f{i}": (i,) for i in range(num_features)},
         train_idx=tuple(range(n_train)),
         test_idx=tuple(range(n_train, rows)),
     )
@@ -300,45 +274,9 @@ def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | N
     return hits / len(rows)
 
 
-# --- parameter files and the fixture fitter ------------------------------------------
-
-
-def save_params(params, path: str | Path) -> None:
-    lines = ["%.17g" % p for p in np.asarray(params, dtype=float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+# --- parameter files ------------------------------------------------------------------
 
 
 def load_params(path: str | Path) -> np.ndarray:
     values = [float(ln) for ln in Path(path).read_text().split()]
     return np.array(values, dtype=float)
-
-
-def fit_params(
-    arch: str,
-    data: Dataset,
-    layers: int = 1,
-    seed: int = 0,
-    sweeps: int = 2,
-    measure_qubit: int = 0,
-) -> np.ndarray:
-    """Coordinate descent on noiseless training accuracy. Produces desk-scale
-    parameter fixtures only; deployment treats trained parameters as input."""
-    d = data.num_features
-    rng = spawn(seed, "fit-params", arch, layers)
-    params = rng.uniform(0.0, 2.0 * math.pi, size=params_length(arch, d, layers))
-
-    def score(p) -> float:
-        model = build_qnn(arch, d, layers, p, measure_qubit)
-        return accuracy(model, data, "train", None)
-
-    best = score(params)
-    offsets = (-0.8, -0.4, 0.4, 0.8)
-    for _ in range(sweeps):
-        for j in range(params.size):
-            for off in offsets:
-                trial = params.copy()
-                trial[j] += off
-                s = score(trial)
-                if s > best:
-                    best, params = s, trial
-    return params

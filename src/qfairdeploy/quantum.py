@@ -87,15 +87,12 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n_
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def simulate_state(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Noiseless statevector after the circuit, starting from |0...0> by default."""
+def simulate_state(circuit: Circuit) -> np.ndarray:
+    """Noiseless statevector after the circuit, starting from |0...0>."""
     if circuit.num_qubits > STATEVECTOR_QUBIT_CAP:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {STATEVECTOR_QUBIT_CAP}-qubit cap")
-    state = zero_state(circuit.num_qubits) if initial is None else np.asarray(initial, dtype=complex).copy()
-    if state.shape != (2**circuit.num_qubits,):
-        raise ValueError("initial state dimension mismatch")
     n = circuit.num_qubits
-    tensor = state.reshape([2] * n)
+    tensor = zero_state(n).reshape([2] * n)
     for g in circuit.gates:
         tensor = _apply_matrix(tensor, gate_matrix(g), g.qubits, n)
     return tensor.reshape(-1)

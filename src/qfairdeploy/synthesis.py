@@ -302,10 +302,6 @@ DEFAULT_MAX_CANDIDATES = 9
 MAX_PATTERNS_PER_K = 20
 
 
-def default_k_max(num_qubits: int) -> int:
-    return {1: 0, 2: 4, 3: 8}[num_qubits]
-
-
 def _placement_patterns(
     num_qubits: int, k: int, rng: np.random.Generator
 ) -> list[tuple[tuple[int, int], ...]]:
@@ -325,7 +321,7 @@ def _placement_patterns(
 def generate_candidates(
     part: Partition,
     eps_syn: float,
-    k_max: int | None = None,
+    k_max: int,
     opt: OptimizerConfig | None = None,
     seed: int = 0,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
@@ -333,8 +329,6 @@ def generate_candidates(
     """Search templates for k = 0..k_max and all (capped) CNOT placements;
     collect every fit within eps_syn, sort by (cnots, distance)."""
     nq = len(part.qubits)
-    if k_max is None:
-        k_max = default_k_max(nq)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if nq == 1:

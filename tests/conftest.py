@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, Gate, GateKind
+from qfairdeploy.circuits import GATE_ARITY, Circuit, Gate, GateKind
+
+
+def gate(kind: GateKind | str, *qubits: int, params: tuple[float, ...] = ()) -> Gate:
+    """Gate constructor taking the kind by name, e.g. gate("cnot", 0, 1)."""
+    if isinstance(kind, str):
+        kind = GateKind(kind.lower())
+    return Gate(kind, tuple(qubits), tuple(float(p) for p in params))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -26,6 +36,22 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
             params = tuple(rng.uniform(0, 2 * np.pi, size=nparams))
             gates.append(Gate(kind, (q,), params))
     return Circuit(num_qubits, tuple(gates))
+
+
+@st.composite
+def circuits(draw, min_qubits: int = 1, max_qubits: int = 5, max_gates: int = 16,
+             angles=st.floats(-2 * math.pi, 2 * math.pi)) -> Circuit:
+    """Hypothesis strategy: a circuit of every gate kind on
+    min_qubits..max_qubits qubits, qubits in either order."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    kinds = sorted((k for k, (nq, _) in GATE_ARITY.items() if nq <= n), key=lambda k: k.value)
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        nq, npar = GATE_ARITY[kind]
+        qubits = tuple(draw(st.permutations(range(n)))[:nq])
+        gates.append(Gate(kind, qubits, tuple(draw(angles) for _ in range(npar))))
+    return Circuit(n, tuple(gates))
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from qfairdeploy.agent import ValueNetwork, compute_reward, RewardWeights, run_search
-from qfairdeploy.circuits import Circuit, gate
+from qfairdeploy.circuits import Circuit
 from qfairdeploy.device import (
     accumulate_p,
     bundled_device,
@@ -36,7 +36,7 @@ from qfairdeploy.toys import (
     two_partition_instance,
 )
 
-from conftest import random_unitary
+from conftest import gate, random_unitary
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qfairdeploy import agent
 from qfairdeploy.agent import (
     AgentState,
     DeploymentEnv,
@@ -12,7 +15,6 @@ from qfairdeploy.agent import (
     run_search,
     save_curves,
     save_selections,
-    load_selections,
     select_action,
     state_tensor,
     td_target,
@@ -21,10 +23,18 @@ from qfairdeploy.agent import (
 from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import (
     brute_force_best,
+    date22_instance,
     toy_device,
     toy_train_config,
     two_partition_instance,
 )
+
+
+def load_selections(path: Path) -> tuple[int, ...]:
+    pairs = [tuple(int(v) for v in ln.split()) for ln in path.read_text().split("\n") if ln.strip()]
+    if [p for p, _ in pairs] != list(range(len(pairs))):
+        raise ValueError("selection file must list partitions 0..N-1 in order")
+    return tuple(c for _, c in pairs)
 
 
 class TestStateTensor:
@@ -284,6 +294,23 @@ class TestDeploymentEnv:
 
 
 class TestRunSearch:
+    def test_one_state_tensor_per_step(self, monkeypatch):
+        # each episode builds the blank state's tensor and then one per
+        # non-terminal next state: P per episode for P partitions, not 2P - 1
+        inst = date22_instance()
+        calls = []
+
+        def counting(state):
+            calls.append(state.selections)
+            return state_tensor(state)
+
+        monkeypatch.setattr(agent, "state_tensor", counting)
+        episodes = 6
+        run_search(inst.env, toy_train_config(iterations=episodes, seed=2))
+        assert len(inst.partitions) == 5
+        assert len(calls) == episodes * len(inst.partitions)
+        assert all(len(sel) < len(inst.partitions) for sel in calls)
+
     def test_single_partition_precomputed_rewards(self, toy):
         env = DeploymentEnv(toy.partitions[:1], toy.lists[:1], toy.model, toy.device,
                             toy.data, RewardWeights(0.5, 0.5), seed=3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfairdeploy.circuits import (
     Circuit,
@@ -12,14 +14,13 @@ from qfairdeploy.circuits import (
     cnot_count,
     concat,
     depth,
-    gate,
     gate_inverse,
     inverse,
     layers,
 )
 from qfairdeploy.quantum import circuit_unitary
 
-from conftest import random_circuit
+from conftest import circuits, gate, random_circuit
 
 
 def test_gate_validation():
@@ -108,6 +109,12 @@ class TestSerialization:
         back = circuit_from_text(circuit_to_text(c))
         assert back.num_qubits == c.num_qubits
         assert back.gates == c.gates  # includes exact float equality
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(circuits(max_qubits=12, max_gates=24,
+                    angles=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_random_circuits(self, c):
+        assert circuit_from_text(circuit_to_text(c)) == c  # any finite angle, bit for bit
 
     def test_seventeen_digit_angles_survive(self):
         angle = math.pi / 7.0

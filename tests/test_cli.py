@@ -1,4 +1,5 @@
 import shutil
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -93,4 +94,25 @@ def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys,
     toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins
     assert main(["evaluate", str(toy_config)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cache").exists()
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+def test_bad_device_file_exits_2(toy_config, tmp_path, capsys, verb):
+    device = tmp_path / "old.device"
+    device.write_text("name old\nqubits 4\nshots_default 8192\nedge 0 1 0.01\n")  # a key no longer read
+    assert main([verb, str(toy_config), "--device", str(device)]) == 2
+    assert "unknown device file key: shots_default" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+def test_unroutable_ansatz_exits_2_before_synthesis(toy_config, tmp_path, capsys, verb):
+    # ring14 without the edge that closes toy4's 4-qubit ring
+    text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("edge 0 3 ")]
+    assert len(lines) == len(text.splitlines()) - 1
+    device = tmp_path / "ring14-no-03.device"
+    device.write_text("\n".join(lines) + "\n")
+    assert main([verb, str(toy_config), "--device", str(device)]) == 2
+    assert "rzz on (3, 0) is not a coupling edge" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()

@@ -1,11 +1,13 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, Gate, GateKind, cnot_count, gate
+from qfairdeploy.circuits import Circuit, Gate, GateKind, cnot_count
 from qfairdeploy.device import (
     BUNDLED_DEVICES,
     DeviceModel,
@@ -19,7 +21,6 @@ from qfairdeploy.device import (
     mitigate_readout,
     parse_device,
     randomized_compile,
-    save_device,
     simulate_noisy,
 )
 from qfairdeploy.quantum import circuit_unitary, measure, simulate_state
@@ -27,7 +28,7 @@ from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import hs_distance
 from qfairdeploy.toys import toy_device, toy_model
 
-from conftest import random_circuit
+from conftest import gate, random_circuit
 from density_oracle import simulate_noisy_density
 
 
@@ -231,6 +232,14 @@ class TestClosedFormOracle:
                                    simulate_noisy_density(circuit, device, qubits), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_noisy_case(), st.integers(0, 2**31))
+def test_randomized_compile_keeps_random_unitaries(case, seed):
+    circuit = case[0]
+    twirled = randomized_compile(circuit, spawn(seed, "twirl-property"))
+    assert hs_distance(circuit_unitary(circuit), circuit_unitary(twirled)) < 1e-9
+
+
 class TestMitigateReadout:
     def test_identity_confusion_unchanged(self):
         dev = toy_device(1)
@@ -331,6 +340,24 @@ class TestEstimateP:
         assert estimate_p(c, dev, r_twirls=3, shots=None) == pytest.approx(expected, abs=1e-9)
 
 
+def save_device(device: DeviceModel, path: Path) -> None:
+    lines = [
+        f"name {device.name}",
+        f"qubits {device.num_qubits}",
+        f"uniform_depolarizing {'%.17g' % device.uniform_depolarizing}",
+        f"crosstalk_default {'%.17g' % device.crosstalk_default}",
+    ]
+    for (a, b), r in sorted(device.cnot_error.items()):
+        lines.append(f"edge {a} {b} {'%.17g' % r}")
+    for key, r in sorted(device.crosstalk.items(), key=lambda kv: sorted(kv[0])):
+        (a, b), (c, d) = sorted(key)
+        lines.append(f"crosstalk {a} {b} {c} {d} {'%.17g' % r}")
+    for q in sorted(device.readout_confusion):
+        m = device.readout_confusion[q]
+        lines.append(f"readout {q} {'%.17g' % m[0, 1]} {'%.17g' % m[1, 0]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestDeviceFiles:
     def test_round_trip(self, tmp_path):
         dev = DeviceModel(
@@ -339,7 +366,6 @@ class TestDeviceFiles:
             crosstalk={frozenset(((0, 1), (1, 2))): 0.004},
             crosstalk_default=0.002,
             readout_confusion={0: np.array([[0.98, 0.02], [0.03, 0.97]])},
-            shots_default=4096,
             uniform_depolarizing=0.05,
         )
         save_device(dev, tmp_path / "rt.device")
@@ -349,7 +375,6 @@ class TestDeviceFiles:
         assert back.cnot_error == dev.cnot_error
         assert back.crosstalk == dev.crosstalk
         assert back.crosstalk_default == dev.crosstalk_default
-        assert back.shots_default == dev.shots_default
         assert back.uniform_depolarizing == dev.uniform_depolarizing
         np.testing.assert_allclose(back.confusion(0), dev.confusion(0), atol=1e-15)
 
@@ -376,6 +401,22 @@ class TestDeviceFiles:
     def test_unknown_bundled_name(self):
         with pytest.raises(ValueError):
             bundled_device("nope")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_case())
+    def test_round_trip_random_devices(self, case):
+        dev = case[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            save_device(dev, Path(tmp) / "h.device")
+            back = parse_device((Path(tmp) / "h.device").read_text())
+        assert (back.name, back.num_qubits) == (dev.name, dev.num_qubits)
+        assert back.cnot_error == dev.cnot_error
+        assert back.crosstalk == dev.crosstalk
+        assert back.crosstalk_default == dev.crosstalk_default
+        assert back.uniform_depolarizing == dev.uniform_depolarizing
+        assert back.readout_confusion.keys() == dev.readout_confusion.keys()
+        for q, m in dev.readout_confusion.items():
+            np.testing.assert_array_equal(back.readout_confusion[q], m)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

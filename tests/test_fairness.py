@@ -10,10 +10,10 @@ from qfairdeploy.cli import main
 from qfairdeploy.fairness import (
     DEGENERATE_TOL,
     BiasPair,
+    _pair_pass,
     estimate_lipschitz,
     fairness_score,
     find_bias_pairs,
-    group_disparity,
     is_fair,
     noisy_lipschitz,
     write_bias_pairs_csv,
@@ -34,7 +34,6 @@ def make_dataset(features: np.ndarray) -> Dataset:
         features=features,
         labels=np.zeros(rows, dtype=int),
         feature_names=tuple(f"f{i}" for i in range(d)),
-        groups={f"f{i}": (i,) for i in range(d)},
         train_idx=tuple(range(rows)),
         test_idx=(),
     )
@@ -207,25 +206,6 @@ class TestScalarOps:
             fairness_score(1.2)
 
 
-class TestGroupDisparity:
-    def test_reference_normalizes_to_one(self):
-        rows = np.array([
-            [0.1, 0.5], [0.9, 0.5],   # differ only in f0
-            [0.3, 0.2], [0.3, 0.8],   # differ only in f1
-        ])
-        data = make_dataset(rows)
-        model = toy_model(2, seed=5)
-        out = group_disparity(model, None, data, reference_group="f0")
-        assert out["f0"] == pytest.approx(1.0)
-        assert set(out) <= {"f0", "f1"}
-
-    def test_missing_reference_raises(self):
-        rows = np.array([[0.1, 0.5], [0.9, 0.5]])
-        data = make_dataset(rows)
-        with pytest.raises(ValueError):
-            group_disparity(toy_model(2), None, data, reference_group="f1")
-
-
 # --- the shared pair pass against a pair-by-pair reference ----------------------
 
 
@@ -238,9 +218,6 @@ def _scan_case(draw):
     features = np.array([[draw(st.sampled_from((0.0, 0.5, 1.0))) if draw(st.booleans())
                           else draw(st.floats(0.0, 1.0)) for _ in range(d)] for _ in range(n_rows)])
     data = make_dataset(features)
-    if d > 1 and draw(st.booleans()):
-        data = Dataset(data.features, data.labels, data.feature_names,
-                       {"g0": (0,), "rest": tuple(range(1, d))}, data.train_idx, data.test_idx)
     model = toy_model(d, seed=draw(st.integers(0, 1000)))
     device = None
     if draw(st.booleans()):
@@ -260,22 +237,19 @@ def _reference_pairs(model, device, data, rows) -> dict:
             for i, j in itertools.combinations(sorted(rows), 2)}
 
 
-def _reference_group_means(data, pairs) -> dict:
-    picked = {name: [] for name in data.groups}
-    for (i, j), (_, d_out) in pairs.items():
-        diff = set(np.flatnonzero(~np.isclose(data.features[i], data.features[j])))
-        touched = [name for name, idxs in data.groups.items() if diff & set(idxs)]
-        if len(touched) == 1:
-            picked[touched[0]].append(d_out)
-    return {name: float(np.mean(v)) for name, v in picked.items() if v}
-
-
 class TestPairPassMatchesReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_scan_case())
     def test_three_functions(self, case):
         model, device, data, rows, eps, delta = case
         ref = _reference_pairs(model, device, data, rows)
+
+        walked = {}
+        for i, later, d_in, d_out in _pair_pass(model, device, data, rows):
+            walked.update({(i, int(j)): (x, y) for j, x, y in zip(later, d_in, d_out)})
+        assert list(walked) == list(ref)  # sorted-row order
+        for ij, (x, y) in walked.items():
+            assert (x, y) == pytest.approx(ref[ij], abs=1e-12)
 
         pairs = find_bias_pairs(model, device, data, eps, delta, rows=rows)
         assert [(p.i, p.j) for p in pairs] == [ij for ij, (a, b) in ref.items() if a <= eps and b >= delta]
@@ -293,15 +267,6 @@ class TestPairPassMatchesReference:
             assert est.argmax_pair is None
         elif len(top) == 1 or top[0] - top[1] > 1e-12:
             assert est.argmax_pair == max(ratios, key=ratios.get)  # first maximal pair
-
-        means = _reference_group_means(data, ref)
-        first = next(iter(data.groups))
-        if means and means.get(first, 0.0) <= 0.0:
-            with pytest.raises(ValueError):
-                group_disparity(model, device, data, rows=rows)
-        else:
-            expected = {name: v / means[first] for name, v in means.items()}
-            assert group_disparity(model, device, data, rows=rows) == pytest.approx(expected, abs=1e-12)
 
 
 def test_toy4_scan_matches_golden_copy(tmp_path, monkeypatch):

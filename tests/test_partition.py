@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, gate
+from qfairdeploy.circuits import Circuit
 from qfairdeploy.partition import PartitionError, partition, recombine, space_size
-from qfairdeploy.quantum import circuit_unitary
+from qfairdeploy.quantum import _apply_matrix, circuit_unitary
 from qfairdeploy.synthesis import hs_distance
 
-from conftest import random_circuit
+from conftest import circuits, gate, random_circuit
 
 
 class TestPartition:
@@ -59,6 +61,19 @@ class TestPartition:
 
 
 class TestRecombine:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(circuits(max_qubits=6, max_gates=20), st.sampled_from((2, 3)))
+    def test_own_partitions_restore_gates_and_unitary(self, c, s_blk):
+        parts = partition(c, s_blk)
+        assert recombine(parts, [p.sub_circuit for p in parts], c.num_qubits).gates == c.gates
+        # the partitions' target unitaries, each acting on its own qubits in
+        # order, multiply out to the circuit's unitary
+        n, dim = c.num_qubits, 2**c.num_qubits
+        u = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+        for p in parts:
+            u = _apply_matrix(u, p.target_unitary, p.qubits, n)
+        np.testing.assert_allclose(u.reshape(dim, dim), circuit_unitary(c), rtol=0, atol=1e-10)
+
     def test_empty_selections(self, rng):
         c = random_circuit(rng, 3, 12)
         parts = partition(c, 2)

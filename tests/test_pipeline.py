@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfairdeploy.agent import RewardWeights, compute_reward
+from qfairdeploy.agent import RewardWeights, TrainConfig, compute_reward
 from qfairdeploy.pipeline import (
     OUTPUT_DIR_ENV,
     SCHEME_WEIGHTS,
@@ -25,11 +25,14 @@ from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
     Candidate,
     CandidateList,
+    OptimizerConfig,
     load_candidate_lists,
     verify_candidate_lists,
 )
-from qfairdeploy.circuits import Circuit, gate
+from qfairdeploy.circuits import Circuit
 from qfairdeploy.toys import two_partition_instance
+
+from conftest import gate
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "toy4_reports.csv"
@@ -106,6 +109,19 @@ class TestConfig:
         shutil.copy(REPO_CONFIG.parent / "toy4_params.txt", tmp_path / "toy4_params.txt")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_absent_train_and_opt_keys_take_the_dataclass_defaults(self, tmp_path):
+        shutil.copy(REPO_CONFIG.parent / "toy4_params.txt", tmp_path / "toy4_params.txt")
+        p = tmp_path / "minimal.config"
+        p.write_text("model.arch c14\nmodel.qubits 4\nmodel.params toy4_params.txt\ndevice ring14\n")
+        cfg = load_config(p)
+        assert cfg.train == TrainConfig(seed=0)
+        assert cfg.opt == OptimizerConfig()
+        assert repr(cfg.opt) == "OptimizerConfig(starts=8, iterations=500)"  # in the synthesis cache key
+        toy = load_config(REPO_CONFIG)
+        assert toy.train == TrainConfig(iterations=60, learning_rate=1e-2, epsilon_start=0.25,
+                                        epsilon_final=0.05, hidden_sizes=(64, 32), seed=7)
+        assert toy.opt == OptimizerConfig(starts=8, iterations=500)
 
     def test_scheme_weights_shipped_verbatim(self):
         assert SCHEME_WEIGHTS["rl1"] == RewardWeights(0.1, 0.9)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, cnot_count, gate
+from qfairdeploy.circuits import Circuit, cnot_count
 from qfairdeploy.device import DeviceModel
 from qfairdeploy.partition import partition, recombine
 from qfairdeploy.qnn import (
@@ -18,7 +18,6 @@ from qfairdeploy.qnn import (
     accuracy,
     build_qnn,
     encode,
-    fit_params,
     full_circuit,
     load_dataset,
     load_params,
@@ -26,11 +25,13 @@ from qfairdeploy.qnn import (
     params_length,
     predict,
     ring_edges,
-    save_params,
     synthetic_dataset,
 )
 from qfairdeploy.quantum import simulate_state, trace_distance_pure, zero_state
+from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device, toy_model
+
+from conftest import gate
 
 
 class TestEncode:
@@ -142,7 +143,7 @@ class TestAccuracy:
     def _constant_dataset(self, label: int) -> Dataset:
         feats = np.full((6, 1), 0.0)
         labels = np.full(6, label, dtype=int)
-        return Dataset(feats, labels, ("f0",), {"f0": (0,)}, (0, 1, 2), (3, 4, 5))
+        return Dataset(feats, labels, ("f0",), (0, 1, 2), (3, 4, 5))
 
     def test_constant_correct(self):
         model = build_qnn("c14", 1, 0, [])
@@ -205,11 +206,6 @@ class TestSyntheticDataset:
         b = synthetic_dataset(rows=30, num_features=2, seed=8)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_groups_partition_features(self):
-        data = synthetic_dataset(rows=10, num_features=4, seed=9)
-        covered = sorted(i for idxs in data.groups.values() for i in idxs)
-        assert covered == [0, 1, 2, 3]
 
 
 def _write_csv(path, rows, header):
@@ -278,15 +274,6 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="usable rows"):
             load_dataset(path, self._schema(feature_columns=("a",), train_size=5, test_size=5))
 
-    def test_group_map_resolution(self, tmp_path, rng):
-        rows = [[rng.uniform(), rng.uniform(), "yes" if i % 2 else "no"] for i in range(20)]
-        path = tmp_path / "data.csv"
-        _write_csv(path, rows, ["a", "b", "y"])
-        schema = self._schema(feature_columns=("a", "b"), groups={"g1": ("a",), "g2": ("b",)},
-                              train_size=10, test_size=5)
-        data = load_dataset(path, schema, seed=3)
-        assert data.groups == {"g1": (0,), "g2": (1,)}
-
 
 class TestSchemaFile:
     def test_parse(self, tmp_path):
@@ -295,8 +282,6 @@ class TestSchemaFile:
             "label y\n"
             "label_positive >50K\n"
             "label_negative <=50K\n"
-            "group demo a,b\n"
-            "group work c\n"
             "train_size 10\n"
             "test_size 5\n"
         )
@@ -305,14 +290,55 @@ class TestSchemaFile:
         schema = load_schema(p)
         assert schema.feature_columns == ("a", "b", "c")
         assert schema.label_positive == ">50K"
-        assert schema.groups == {"demo": ("a", "b"), "work": ("c",)}
         assert (schema.train_size, schema.test_size) == (10, 5)
+        p.write_text(text + "group demo a,b\n")
+        with pytest.raises(ValueError, match="unknown schema key 'group'"):
+            load_schema(p)
 
     def test_missing_required_keys(self, tmp_path):
         p = tmp_path / "schema.txt"
         p.write_text("label y\n")
         with pytest.raises(ValueError):
             load_schema(p)
+
+
+# --- parameter fixtures -------------------------------------------------------------
+
+
+def save_params(params, path) -> None:
+    lines = ["%.17g" % p for p in np.asarray(params, dtype=float)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def fit_params(
+    arch: str,
+    data: Dataset,
+    layers: int = 1,
+    seed: int = 0,
+    sweeps: int = 2,
+    measure_qubit: int = 0,
+) -> np.ndarray:
+    """Coordinate descent on noiseless training accuracy. Produces desk-scale
+    parameter fixtures only; deployment treats trained parameters as input."""
+    d = data.num_features
+    rng = spawn(seed, "fit-params", arch, layers)
+    params = rng.uniform(0.0, 2.0 * math.pi, size=params_length(arch, d, layers))
+
+    def score(p) -> float:
+        model = build_qnn(arch, d, layers, p, measure_qubit)
+        return accuracy(model, data, "train", None)
+
+    best = score(params)
+    offsets = (-0.8, -0.4, 0.4, 0.8)
+    for _ in range(sweeps):
+        for j in range(params.size):
+            for off in offsets:
+                trial = params.copy()
+                trial[j] += off
+                s = score(trial)
+                if s > best:
+                    best, params = s, trial
+    return params
 
 
 class TestParamsIO:

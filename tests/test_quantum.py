@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfairdeploy.circuits import Circuit, concat, gate
+from qfairdeploy.circuits import Circuit, concat
 from qfairdeploy.device import simulate_noisy
 from qfairdeploy.quantum import (
     circuit_unitary,
@@ -16,7 +16,7 @@ from qfairdeploy.quantum import (
 from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device
 
-from conftest import random_circuit, random_state
+from conftest import gate, random_circuit, random_state
 from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
 
 
@@ -82,9 +82,9 @@ class TestCircuitUnitary:
             circuit_unitary(Circuit(13))
 
     def test_matches_statevector_path(self, rng):
-        c = random_circuit(rng, 3, 15)
-        psi = random_state(rng, 3)
-        np.testing.assert_allclose(circuit_unitary(c) @ psi, simulate_state(c, psi), atol=1e-10)
+        prep, c = random_circuit(rng, 3, 10), random_circuit(rng, 3, 15)
+        psi = simulate_state(prep)
+        np.testing.assert_allclose(circuit_unitary(c) @ psi, simulate_state(concat(prep, c)), atol=1e-10)
 
 
 class TestDepolarize:

@@ -1,15 +1,19 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, gate
-from qfairdeploy.partition import Partition, recombine
+from qfairdeploy.circuits import Circuit, cnot_count, depth
+from qfairdeploy.partition import Partition, partition, recombine
 from qfairdeploy.quantum import circuit_unitary
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
+    Candidate,
+    CandidateList,
     OptimizerConfig,
     SynthesisError,
     SynthesisTemplate,
@@ -22,9 +26,10 @@ from qfairdeploy.synthesis import (
     hs_distance,
     load_candidate_lists,
     save_candidate_lists,
+    verify_candidate_lists,
 )
 
-from conftest import random_circuit, random_unitary
+from conftest import circuits, gate, random_circuit, random_unitary
 
 FAST = OptimizerConfig(starts=4, iterations=250)
 
@@ -219,7 +224,7 @@ class TestGenerateCandidates:
     def test_one_qubit_partition(self, rng):
         c = Circuit(1, (gate("u3", 0, params=tuple(rng.uniform(0, 6, 3))),))
         part = Partition(0, (2,), c, circuit_unitary(c))
-        cl = generate_candidates(part, 1e-5, opt=FAST, seed=9)
+        cl = generate_candidates(part, 1e-5, k_max=4, opt=FAST, seed=9)
         assert cl.candidates[0].cnots == 0
         assert cl.candidates[0].distance < 1e-6
 
@@ -257,3 +262,31 @@ def test_candidate_lists_round_trip(tmp_path, rng):
     assert [c.circuit.gates for c in back.candidates] == [c.circuit.gates for c in cl.candidates]
     assert [c.distance for c in back.candidates] == [c.distance for c in cl.candidates]
     assert [c.cnots for c in back.candidates] == [c.cnots for c in cl.candidates]
+
+
+@st.composite
+def _candidate_lists(draw):
+    """A random circuit's partitions, each with 1-3 candidates: its own
+    sub-circuit or random circuits on its qubits, at their true distances."""
+    parts = partition(draw(circuits(max_qubits=4, max_gates=12)), draw(st.sampled_from((2, 3))))
+    lists = []
+    for part in parts:
+        width = len(part.qubits)
+        options = [part.sub_circuit]
+        options += [draw(circuits(width, width, 6)) for _ in range(draw(st.integers(0, 2)))]
+        cands = sorted((Candidate(c, hs_distance(circuit_unitary(c), part.target_unitary),
+                                  cnot_count(c), depth(c)) for c in options),
+                       key=lambda c: (c.cnots, c.distance))
+        lists.append(CandidateList(part.index, tuple(cands)))
+    return parts, lists
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_candidate_lists())
+def test_candidate_lists_round_trip_random(case):
+    parts, lists = case
+    with tempfile.TemporaryDirectory() as tmp:
+        save_candidate_lists(lists, Path(tmp) / "cands")
+        back = load_candidate_lists(Path(tmp) / "cands")
+    assert back == lists  # gates, distances, CNOT counts and depths, bit for bit
+    verify_candidate_lists(back, parts, eps_syn=1.0)
