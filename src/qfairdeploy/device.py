@@ -69,6 +69,9 @@ class DeviceModel:
                 raise ValueError(f"bad confusion matrix for qubit {q}")
             if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError(f"confusion rows for qubit {q} do not sum to 1")
+            # mitigation inverts the Kronecker product of these factors
+            if abs(np.linalg.det(m)) < 1e-12:
+                raise ValueError(f"singular readout confusion matrix for qubit {q}")
 
     @property
     def edges(self) -> frozenset:
@@ -244,9 +247,6 @@ def mitigate_readout(dist: np.ndarray, device: DeviceModel, qubits) -> np.ndarra
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (2 ** len(qubits),):
         raise ValueError("distribution length does not match the qubit list")
-    # the kernel is a Kronecker product, singular exactly when a factor is
-    if any(abs(np.linalg.det(device.confusion(q))) < 1e-12 for q in qubits):
-        raise ValueError("singular readout confusion matrix")
     corrected = np.linalg.solve(_confusion_kernel(device, qubits), dist)
     corrected = np.clip(corrected, 0.0, None)
     total = corrected.sum()
@@ -267,29 +267,35 @@ def estimate_p(
 ) -> float:
     """Measured effective depolarizing rate of a circuit on a device.
 
-    Strips 1-qubit gates, twirls the remainder `r_twirls` times, appends each
-    twirl's exact inverse so the ideal output is |0...0>, simulates noisily
-    (readout mitigated away), and converts the mean all-zeros survival P0 into
-    p = (1 - P0) / (1 - 2^-n). shots=None uses exact survival probabilities.
+    Strips 1-qubit gates, twirls the remainder `r_twirls` times and appends
+    each twirl's exact inverse, so the ideal output is |0...0>. A mirror run
+    with survival 1 - P keeps |0...0> with probability P0 = (1 - P) + P / 2^n,
+    and p = (1 - P0) / (1 - 2^-n) gives back P. shots=None returns the mean
+    P over the twirls in closed form, 1 - P = (1 - p_total)(1 - u), since
+    readout mitigation is exact there. Shot mode samples each mirror,
+    mitigates readout and converts the mean sampled P0. In both modes the
+    twirl Paulis shift the ASAP layering, and so the crosstalk.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
     est = estimation_circuit(circuit)
+    mirrors = []
+    for t in range(r_twirls):
+        twirled = randomized_compile(est, spawn(seed, "twirl", t))
+        mirrors.append(concat(twirled, inverse(twirled)))
+    if shots is None:
+        keep = 1.0 - device.uniform_depolarizing
+        p_hat = sum(1.0 - (1.0 - accumulate_p(m, device).p_total) * keep for m in mirrors) / r_twirls
+        return min(max(p_hat, 0.0), 1.0)
     n = est.num_qubits
     all_qubits = tuple(range(n))
     survival = 0.0
-    for t in range(r_twirls):
-        twirled = randomized_compile(est, spawn(seed, "twirl", t))
-        run = concat(twirled, inverse(twirled))
-        dist = simulate_noisy(
-            run, device, qubits=all_qubits, shots=shots,
-            rng=spawn(seed, "shots", t) if shots is not None else None,
-        )
+    for t, run in enumerate(mirrors):
+        dist = simulate_noisy(run, device, qubits=all_qubits, shots=shots, rng=spawn(seed, "shots", t))
         if device.readout_confusion:
             dist = mitigate_readout(dist, device, all_qubits)
         survival += float(dist[0])
-    p0 = survival / r_twirls
-    p_hat = (1.0 - p0) / (1.0 - 2.0 ** (-n))
+    p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-n))
     return min(max(p_hat, 0.0), 1.0)
 
 

@@ -8,7 +8,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .qnn import (
 from .seeding import spawn
 from .synthesis import (
     CacheError,
+    DEFAULT_MAX_CANDIDATES,
     CandidateList,
     OptimizerConfig,
     generate_candidates,
@@ -90,6 +91,9 @@ _OPT_KEYS = {
     "opt.starts": ("starts", int),
     "opt.iterations": ("iterations", int),
 }
+
+# eval.* keys left out of the file keep DeploymentEnv's defaults
+_ENV_DEFAULTS = {f.name: f.default for f in fields(DeploymentEnv)}
 
 # every key load_config reads; `weights.<scheme>` keys come on top
 CONFIG_KEYS = frozenset({
@@ -184,12 +188,12 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
 
-    def get(key: str, default: str | None = None) -> str:
+    def get(key: str, default=None) -> str:
         if key in kv:
             return kv[key]
         if default is None:
             raise ConfigError(f"missing config key {key!r}")
-        return default
+        return str(default)
 
     base = path.parent
 
@@ -229,14 +233,14 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
             s_blk=s_blk,
             eps_syn=float(get("eps_syn", "1e-2")),
             k_max=int(get("k_max", "4")),
-            max_candidates=int(get("max_candidates", "9")),
+            max_candidates=int(get("max_candidates", DEFAULT_MAX_CANDIDATES)),
             opt=opt,
             schemes=tuple(s.strip() for s in get("schemes", "quest,random,rl3").split(",")),
             weights=weights,
             train=train,
-            eval_split=get("eval.split", "test"),
-            r_twirls=int(get("eval.r_twirls", "4")),
-            fill=get("eval.fill", "original"),
+            eval_split=get("eval.split", _ENV_DEFAULTS["split"]),
+            r_twirls=int(get("eval.r_twirls", _ENV_DEFAULTS["r_twirls"])),
+            fill=get("eval.fill", _ENV_DEFAULTS["fill"]),
             seed=int(get("seed", "0")),
             output_dir=output_dir,
             config_hash=_hash_config(kv),

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, concat
-from .device import DeviceModel, mitigate_readout, simulate_noisy
-from .quantum import measure, simulate_state
+from .device import DeviceModel, accumulate_p, mitigate_readout, simulate_noisy
+from .quantum import evolve, measure, simulate_state
 from .seeding import spawn
 
 ARCHS = ("c14", "qmlp", "date22", "dac22")
@@ -197,13 +197,33 @@ def params_length(arch: str, num_qubits: int, layers: int) -> int:
     return layers * per_layer
 
 
+def _check_features(x: np.ndarray) -> None:
+    if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
+        raise ValueError("features must lie in [0, 1]")
+
+
 def encode(x) -> Circuit:
     """Angle encoder: RY(pi * x_k) on qubit k for each feature."""
     x = np.asarray(x, dtype=float)
-    if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
-        raise ValueError("features must lie in [0, 1]")
+    _check_features(x)
     gates = tuple(Gate(GateKind.RY, (k,), (math.pi * float(v),)) for k, v in enumerate(x))
     return Circuit(len(x), gates)
+
+
+def encoded_states(features) -> np.ndarray:
+    """The states `encode` prepares from |0...0>, one row per feature row:
+    the product over qubits k of (cos(pi x_k / 2), sin(pi x_k / 2)), qubit 0
+    the most significant. Real, shape (rows, 2^features)."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("features must be rows x d")
+    _check_features(x)
+    half = 0.5 * math.pi * x
+    states = np.ones((x.shape[0], 1))
+    for k in range(x.shape[1]):
+        qubit = np.stack([np.cos(half[:, k]), np.sin(half[:, k])], axis=1)
+        states = (states[:, :, None] * qubit[:, None, :]).reshape(x.shape[0], -1)
+    return states
 
 
 def build_qnn(
@@ -257,21 +277,30 @@ def output_distribution(model: QnnModel, x, device: DeviceModel | None) -> np.nd
     return dist
 
 
-def predict(model: QnnModel, x, device: DeviceModel | None) -> tuple[int, float]:
-    """(label, score) with score = P(measure_qubit = 1); ties go to label 1."""
-    score = float(output_distribution(model, x, device)[1])
-    return (1 if score >= 0.5 else 0), score
-
-
 def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | None) -> float:
-    rows = data.split(split)
+    """Fraction of the split's rows labelled right; the label is 1 when the
+    score P(measure_qubit = 1) is at least 1/2, so a tie goes to 1. All rows
+    evolve as one batch through the ansatz. On a device the score becomes
+    (1 - P) s + P / 2 with 1 - P = (1 - p_total)(1 - u), one P for every row
+    since the encoded circuit's gates differ between rows only in their
+    angles; readout mitigation undoes the confusion exactly, so neither
+    appears here."""
+    rows = list(data.split(split))
     if not rows:
         raise ValueError(f"empty {split} split")
-    hits = 0
-    for i in rows:
-        label, _ = predict(model, data.features[i], device)
-        hits += int(label == int(data.labels[i]))
-    return hits / len(rows)
+    n, q = model.num_qubits, model.measure_qubit
+    psi = encoded_states(data.features[rows])
+    if psi.shape[1] != 2**n:
+        raise ValueError(f"rows of {data.num_features} features do not fit {n} qubits")
+    probs = np.abs(evolve(model.circuit, psi.T)) ** 2
+    marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(rows)).sum(axis=(0, 2))
+    scores = marginal[1] / marginal.sum(axis=0)
+    if device is not None:
+        survive = ((1.0 - accumulate_p(full_circuit(model, data.features[rows[0]]), device).p_total)
+                   * (1.0 - device.uniform_depolarizing))
+        scores = survive * scores + (1.0 - survive) / 2
+    labels = (scores >= 0.5).astype(int)
+    return int((labels == data.labels[rows]).sum()) / len(rows)
 
 
 # --- parameter files ------------------------------------------------------------------

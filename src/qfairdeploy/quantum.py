@@ -87,28 +87,34 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n_
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def simulate_state(circuit: Circuit) -> np.ndarray:
-    """Noiseless statevector after the circuit, starting from |0...0>."""
+def _check_cap(circuit: Circuit) -> None:
     if circuit.num_qubits > STATEVECTOR_QUBIT_CAP:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {STATEVECTOR_QUBIT_CAP}-qubit cap")
+
+
+def evolve(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    """The circuit applied to a statevector (2^n,) or to each column of a
+    batch (2^n, m)."""
+    _check_cap(circuit)
     n = circuit.num_qubits
-    tensor = zero_state(n).reshape([2] * n)
+    states = np.asarray(states)
+    # the row index splits into qubit axes; a batch axis rides along last
+    tensor = states.reshape([2] * n + list(states.shape[1:]))
     for g in circuit.gates:
         tensor = _apply_matrix(tensor, gate_matrix(g), g.qubits, n)
-    return tensor.reshape(-1)
+    return tensor.reshape(states.shape)
+
+
+def simulate_state(circuit: Circuit) -> np.ndarray:
+    """Noiseless statevector after the circuit, starting from |0...0>."""
+    _check_cap(circuit)
+    return evolve(circuit, zero_state(circuit.num_qubits))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary of the circuit (right-to-left product of gate matrices)."""
-    n = circuit.num_qubits
-    if n > STATEVECTOR_QUBIT_CAP:
-        raise ValueError(f"{n} qubits exceeds the {STATEVECTOR_QUBIT_CAP}-qubit cap")
-    dim = 2**n
-    # evolve all basis columns at once: row index split into qubit axes
-    u = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    for g in circuit.gates:
-        u = _apply_matrix(u, gate_matrix(g), g.qubits, n)
-    return u.reshape(dim, dim)
+    _check_cap(circuit)
+    return evolve(circuit, np.eye(2**circuit.num_qubits, dtype=complex))
 
 
 # --- measurement -------------------------------------------------------------

@@ -105,6 +105,15 @@ def test_bad_device_file_exits_2(toy_config, tmp_path, capsys, verb):
     assert "unknown device file key: shots_default" in capsys.readouterr().err
 
 
+def test_singular_readout_confusion_exits_2_before_synthesis(toy_config, tmp_path, capsys):
+    text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()
+    device = tmp_path / "ring14-blind-0.device"
+    device.write_text(text + "readout 0 0.5 0.5\n")  # qubit 0 reads 0 or 1 at random
+    assert main(["evaluate", str(toy_config), "--device", str(device)]) == 2
+    assert "singular readout confusion matrix for qubit 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cache").exists()
+
+
 @pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
 def test_unroutable_ansatz_exits_2_before_synthesis(toy_config, tmp_path, capsys, verb):
     # ring14 without the edge that closes toy4's 4-qubit ring

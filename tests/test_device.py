@@ -30,6 +30,7 @@ from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate, random_circuit
 from density_oracle import simulate_noisy_density
+from simulation_oracle import estimate_p_by_simulation
 
 
 class TestEstimationCircuit:
@@ -275,12 +276,12 @@ class TestMitigateReadout:
         np.testing.assert_allclose(fixed, ideal, atol=1e-9)
 
     def test_singular_confusion(self):
-        dev = DeviceModel(
-            name="t", num_qubits=1, cnot_error={},
-            readout_confusion={0: np.array([[0.5, 0.5], [0.5, 0.5]])},
-        )
-        with pytest.raises(ValueError):
-            mitigate_readout(np.array([0.5, 0.5]), dev, (0,))
+        # mitigation could not invert it, so the device is refused when built
+        with pytest.raises(ValueError, match="singular readout confusion"):
+            DeviceModel(
+                name="t", num_qubits=1, cnot_error={},
+                readout_confusion={0: np.array([[0.5, 0.5], [0.5, 0.5]])},
+            )
 
     def test_eight_qubits_on_ring14(self):
         # the 256 x 256 kernel's determinant is ~1e-21, yet each 2 x 2 factor is well conditioned
@@ -338,6 +339,13 @@ class TestEstimateP:
         # estimation circuit + its inverse = 4 serial CNOT layers
         expected = 1.0 - (1.0 - 0.05) ** 4
         assert estimate_p(c, dev, r_twirls=3, shots=None) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_case(), st.integers(1, 4), st.integers(0, 2**31))
+    def test_closed_form_matches_simulated_mirrors(self, case, r_twirls, seed):
+        circuit, device, _ = case
+        assert estimate_p(circuit, device, r_twirls=r_twirls, shots=None, seed=seed) == pytest.approx(
+            estimate_p_by_simulation(circuit, device, r_twirls, seed), abs=1e-12)
 
 
 def save_device(device: DeviceModel, path: Path) -> None:

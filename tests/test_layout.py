@@ -1,9 +1,13 @@
-"""Layout guard: every public top-level name in the package has a caller in
-the package itself. A helper that only tests use belongs under tests/."""
+"""Layout guards: every public top-level name in the package has a caller in
+the package itself (a helper that only tests use belongs under tests/), and
+the benchmark's tracer can wrap every lookup of the functions it traces."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qfairdeploy"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qfairdeploy"
 
 # toys.py holds the toy instances the tests and the benchmark's tracer build
 # on; it leaves the package once the tracer's table stops pinning it
@@ -62,3 +66,27 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert unreferenced_public_names() == []
+
+
+# The tracer patches module namespaces, so it runs in its own interpreter and
+# no wrapped function leaks into the other tests.
+_TRACER_PROBE = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import qfairdeploy.cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+print(tracer.leftover_references())
+"""
+
+
+def test_tracer_wraps_every_lookup_of_a_traced_function():
+    # a traced function imported by name into a module outside its table row
+    # (say `from .quantum import circuit_unitary` in qnn) would be left over
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

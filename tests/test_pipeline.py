@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfairdeploy.agent import RewardWeights, TrainConfig, compute_reward
+from qfairdeploy.agent import DeploymentEnv, RewardWeights, TrainConfig, compute_reward
 from qfairdeploy.pipeline import (
     OUTPUT_DIR_ENV,
     SCHEME_WEIGHTS,
@@ -23,6 +23,7 @@ from qfairdeploy.cli import main as cli_main
 from qfairdeploy.partition import partition
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
+    DEFAULT_MAX_CANDIDATES,
     Candidate,
     CandidateList,
     OptimizerConfig,
@@ -122,6 +123,15 @@ class TestConfig:
         assert toy.train == TrainConfig(iterations=60, learning_rate=1e-2, epsilon_start=0.25,
                                         epsilon_final=0.05, hidden_sizes=(64, 32), seed=7)
         assert toy.opt == OptimizerConfig(starts=8, iterations=500)
+
+    def test_absent_eval_keys_take_the_env_and_synthesis_defaults(self, tmp_path):
+        shutil.copy(REPO_CONFIG.parent / "toy4_params.txt", tmp_path / "toy4_params.txt")
+        p = tmp_path / "minimal.config"
+        p.write_text("model.arch c14\nmodel.qubits 4\nmodel.params toy4_params.txt\ndevice ring14\n")
+        cfg = load_config(p)
+        env = DeploymentEnv([], [], None, None, None, RewardWeights(0.5, 0.5))
+        assert (cfg.eval_split, cfg.r_twirls, cfg.fill) == (env.split, env.r_twirls, env.fill)
+        assert cfg.max_candidates == DEFAULT_MAX_CANDIDATES
 
     def test_scheme_weights_shipped_verbatim(self):
         assert SCHEME_WEIGHTS["rl1"] == RewardWeights(0.1, 0.9)

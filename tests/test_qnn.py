@@ -1,7 +1,7 @@
 import csv
-import math
-
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from qfairdeploy.qnn import (
     load_dataset,
     load_params,
     load_schema,
+    encoded_states,
     params_length,
-    predict,
     ring_edges,
     synthetic_dataset,
 )
@@ -32,6 +32,7 @@ from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate
+from simulation_oracle import accuracy_by_rows, predict
 
 
 class TestEncode:
@@ -50,6 +51,14 @@ class TestEncode:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             encode([1.2])
+        with pytest.raises(ValueError):
+            encoded_states([[0.5, -0.1]])
+
+    def test_encoded_states_are_the_encoder_circuits_states(self, rng):
+        x = rng.uniform(0, 1, size=(7, 3))
+        x[0] = [0.0, 0.5, 1.0]
+        expected = np.stack([simulate_state(encode(row)) for row in x])
+        np.testing.assert_allclose(encoded_states(x), expected, rtol=0, atol=1e-15)
 
     def test_injectivity(self, rng):
         for _ in range(20):
@@ -118,13 +127,15 @@ class TestPredict:
 
 
 @st.composite
-def _noisy_accuracy_case(draw):
-    """A random model and dataset on a fully connected device with random
-    edge, crosstalk and uniform rates and readout confusion, all below the
-    rates at which the survival 1 - P could reach 0."""
+def _noisy_accuracy_case(draw, full_depolarizing=st.just(False)):
+    """A random model, measured on any qubit, and dataset on a fully
+    connected device with random edge, crosstalk and uniform rates and
+    readout confusion, all below the rates at which the survival 1 - P could
+    reach 0 unless `full_depolarizing` draws True (uniform rate 1)."""
     n = draw(st.integers(1, 4))
     model = toy_model(n, layers=draw(st.integers(1, 2)), seed=draw(st.integers(0, 10**6)),
                       arch=draw(st.sampled_from(ARCHS)))
+    model = build_qnn(model.arch, n, model.layers, model.params, measure_qubit=draw(st.integers(0, n - 1)))
     data = synthetic_dataset(rows=draw(st.integers(4, 20)), num_features=n,
                              seed=draw(st.integers(0, 10**6)), flip=draw(st.floats(0.0, 0.5)))
     rate = st.floats(0.0, 0.3)
@@ -134,7 +145,7 @@ def _noisy_accuracy_case(draw):
         crosstalk_default=draw(st.floats(0.0, 0.05)),
         readout_confusion={q: np.array([[1.0 - a, a], [b, 1.0 - b]])
                            for q, a, b in ((q, draw(rate), draw(rate)) for q in range(n))},
-        uniform_depolarizing=draw(st.floats(0.0, 0.9)),
+        uniform_depolarizing=1.0 if draw(full_depolarizing) else draw(st.floats(0.0, 0.9)),
     )
     return model, data, device
 
@@ -192,6 +203,22 @@ class TestAccuracy:
         model, data, device = case
         for split in ("train", "test"):
             assert accuracy(model, data, split, device) == accuracy(model, data, split, None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_accuracy_case(full_depolarizing=st.booleans()))
+    def test_batched_matches_row_by_row_oracle(self, case):
+        model, data, device = case
+        if device.uniform_depolarizing == 1.0:
+            # every score is exactly 1/2, a tie, so every label is 1; the
+            # oracle's readout round trip K^-1 K (1/2, 1/2) can come back an
+            # ulp below 1/2 and label a tie 0, so it runs without confusion
+            clean = replace(device, readout_confusion={})
+            for split in ("train", "test"):
+                assert accuracy(model, data, split, device) == accuracy(model, data, split, clean)
+            device = clean
+        for split in ("train", "test"):
+            for dev in (device, None):
+                assert accuracy(model, data, split, dev) == accuracy_by_rows(model, data, split, dev)
 
 
 class TestSyntheticDataset:
