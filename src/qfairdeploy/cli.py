@@ -94,14 +94,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_fairness_scan(args) -> int:
+    if not (0.0 < args.eps <= 1.0 and 0.0 < args.delta <= 1.0) or args.max_rows < 0:
+        raise ConfigError("--eps and --delta must lie in (0, 1], and --max-rows must not be negative")
     cfg = _config(args)
     model = load_model(cfg)
     device = load_device_ref(cfg.device_ref)
     check_routable(model, device)
     data = load_data(cfg)
-    rows = data.split(args.split)
-    if args.max_rows:
-        rows = rows[: args.max_rows]
+    rows = data.split(args.split)[: args.max_rows or None]
+    if len(rows) < 2:
+        raise ConfigError(f"fairness-scan needs at least 2 rows; {len(rows)} of the {args.split} split left")
     pairs = find_bias_pairs(model, device, data, args.eps, args.delta, rows=rows)
     est = estimate_lipschitz(model, device, data, rows=rows)
     out_dir = Path(cfg.output_dir)

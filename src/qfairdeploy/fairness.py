@@ -5,9 +5,10 @@ difference is the total-variation distance between measured outcome
 distributions. The empirical Lipschitz constant is the maximum output/input
 ratio over dataset pairs, a documented lower bound on the true constant.
 
-Bias pairs and the Lipschitz estimate share one pass over the pairs: each
-row is simulated once, then compared against all later rows at once, so a
-scan over n rows needs O(n) extra memory, not the n(n-1)/2 pair list.
+Bias pairs and the Lipschitz estimate share one pass over the pairs: all
+rows evolve as one batch, then each row is compared against all later rows
+at once, so a scan over n rows needs O(n) extra memory, not the n(n-1)/2
+pair list.
 
 The device error rate p doubles as the fairness proxy score: under pure
 depolarizing noise the noisy constant contracts to (1 - p) times the
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .device import DeviceModel
-from .qnn import Dataset, QnnModel, encode, output_distribution
+from .qnn import Dataset, QnnModel, encoded_states, output_distribution
+# simulate_state: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .quantum import simulate_state, total_variation, trace_distance_pure
 
 # Input distances at or below this count as identical encodings. It sits well
@@ -51,17 +53,17 @@ class LipschitzEstimate:
 def _pair_pass(model: QnnModel, device: DeviceModel | None, data: Dataset, rows):
     """Walk every unordered pair of `rows` once, in sorted-row order.
 
-    Each row's encoded state and output distribution are computed once and
-    stacked. Row a then meets rows a+1..n-1 in one broadcast call of each
-    metric, so the pass holds O(n) distances at a time, never the pair list.
+    Encoded states and output distributions come as one batch each. Row a
+    then meets rows a+1..n-1 in one broadcast call of each metric, so the
+    pass holds O(n) distances at a time, never the pair list.
     Yields (i, later, d_in, d_out): a row, the array of later rows, and the
     input and output distances to each of them. All rows by default.
     """
     rows = np.array(sorted(range(len(data.labels)) if rows is None else rows), dtype=int)
     if len(rows) < 2:
         raise ValueError("need at least 2 rows")
-    states = np.stack([simulate_state(encode(data.features[i])) for i in rows])
-    dists = np.stack([output_distribution(model, data.features[i], device) for i in rows])
+    states = encoded_states(data.features[rows])
+    dists = output_distribution(model, data.features[rows], device)
     for a in range(len(rows) - 1):
         yield (int(rows[a]), rows[a + 1:],
                trace_distance_pure(states[a], states[a + 1:]),

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, concat
-from .device import DeviceModel, accumulate_p, mitigate_readout, simulate_noisy
-from .quantum import evolve, measure, simulate_state
+# simulate_noisy, simulate_state: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
+from .device import DeviceModel, accumulate_p, simulate_noisy
+from .quantum import evolve, simulate_state
 from .seeding import spawn
 
 ARCHS = ("c14", "qmlp", "date22", "dac22")
@@ -215,8 +216,8 @@ def encoded_states(features) -> np.ndarray:
     the product over qubits k of (cos(pi x_k / 2), sin(pi x_k / 2)), qubit 0
     the most significant. Real, shape (rows, 2^features)."""
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be rows x d")
+    if x.ndim != 2 or not len(x):
+        raise ValueError("features must be a non-empty rows x d matrix")
     _check_features(x)
     half = 0.5 * math.pi * x
     states = np.ones((x.shape[0], 1))
@@ -266,40 +267,33 @@ def full_circuit(model: QnnModel, x) -> Circuit:
 # --- evaluation -------------------------------------------------------------------
 
 
-def output_distribution(model: QnnModel, x, device: DeviceModel | None) -> np.ndarray:
-    """Exact distribution over the measured qubit; noisy path mitigates readout."""
-    circuit = full_circuit(model, x)
-    if device is None:
-        return measure(simulate_state(circuit), (model.measure_qubit,))
-    dist = simulate_noisy(circuit, device, qubits=(model.measure_qubit,))
-    if device.readout_confusion:
-        dist = mitigate_readout(dist, device, (model.measure_qubit,))
+def output_distribution(model: QnnModel, features, device: DeviceModel | None) -> np.ndarray:
+    """The measured qubit's distribution for each row of a rows x d feature
+    matrix, shape (rows, 2), from one batched evolution. On a device each
+    row becomes (1 - P) d + P / 2 with 1 - P = (1 - p_total)(1 - u): one P
+    serves every row, as the encoded circuits differ only in their angles,
+    and exact readout mitigation cancels the confusion, so it is left out."""
+    n, q = model.num_qubits, model.measure_qubit
+    psi = encoded_states(features)
+    if psi.shape[1] != 2**n:
+        raise ValueError(f"rows of {np.shape(features)[1]} features do not fit {n} qubits")
+    probs = np.abs(evolve(model.circuit, psi.T)) ** 2
+    marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(psi)).sum(axis=(0, 2))
+    dist = (marginal / marginal.sum(axis=0)).T
+    if device is not None:
+        survive = ((1.0 - accumulate_p(full_circuit(model, features[0]), device).p_total)
+                   * (1.0 - device.uniform_depolarizing))
+        dist = survive * dist + (1.0 - survive) / 2
     return dist
 
 
 def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | None) -> float:
-    """Fraction of the split's rows labelled right; the label is 1 when the
-    score P(measure_qubit = 1) is at least 1/2, so a tie goes to 1. All rows
-    evolve as one batch through the ansatz. On a device the score becomes
-    (1 - P) s + P / 2 with 1 - P = (1 - p_total)(1 - u), one P for every row
-    since the encoded circuit's gates differ between rows only in their
-    angles; readout mitigation undoes the confusion exactly, so neither
-    appears here."""
+    """Fraction of the split's rows labelled right: label 1 where
+    `output_distribution` gives P(measure_qubit = 1) >= 1/2, ties included."""
     rows = list(data.split(split))
     if not rows:
         raise ValueError(f"empty {split} split")
-    n, q = model.num_qubits, model.measure_qubit
-    psi = encoded_states(data.features[rows])
-    if psi.shape[1] != 2**n:
-        raise ValueError(f"rows of {data.num_features} features do not fit {n} qubits")
-    probs = np.abs(evolve(model.circuit, psi.T)) ** 2
-    marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(rows)).sum(axis=(0, 2))
-    scores = marginal[1] / marginal.sum(axis=0)
-    if device is not None:
-        survive = ((1.0 - accumulate_p(full_circuit(model, data.features[rows[0]]), device).p_total)
-                   * (1.0 - device.uniform_depolarizing))
-        scores = survive * scores + (1.0 - survive) / 2
-    labels = (scores >= 0.5).astype(int)
+    labels = (output_distribution(model, data.features[rows], device)[:, 1] >= 0.5).astype(int)
     return int((labels == data.labels[rows]).sum()) / len(rows)
 
 

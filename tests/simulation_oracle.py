@@ -1,13 +1,16 @@
 """Row-by-row simulation references for the closed forms, used only by the tests.
 
-`qnn.accuracy` evolves a whole split as one batch and applies the noise as
-the score map s -> (1 - P) s + P / 2; `device.estimate_p(shots=None)` turns
-each twirled mirror's layer rates into its survival directly. This module
-keeps the paths they replace: one noisy simulation per input row, readout
-confusion applied and mitigated, and one noisy simulation per mirror circuit
-with the all-zeros survival converted into a rate.
+`qnn.output_distribution` (and so `qnn.accuracy` and the fairness scan)
+evolves all rows as one batch and applies the noise as the map
+d -> (1 - P) d + P / 2; `device.estimate_p(shots=None)` turns each twirled
+mirror's layer rates into its survival directly. This module keeps the paths
+they replace: one noisy simulation per input row, readout confusion applied
+and mitigated, and one noisy simulation per mirror circuit with the
+all-zeros survival converted into a rate.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from qfairdeploy.circuits import Circuit, concat, inverse
 from qfairdeploy.device import (
@@ -17,13 +20,26 @@ from qfairdeploy.device import (
     randomized_compile,
     simulate_noisy,
 )
-from qfairdeploy.qnn import Dataset, QnnModel, output_distribution
+from qfairdeploy.qnn import Dataset, QnnModel, full_circuit
+from qfairdeploy.quantum import measure, simulate_state
 from qfairdeploy.seeding import spawn
+
+
+def output_distribution_by_rows(model: QnnModel, x, device: DeviceModel | None) -> np.ndarray:
+    """Distribution over the measured qubit for one feature row: the encoded
+    circuit simulated on its own; on a device, noisy and readout-mitigated."""
+    circuit = full_circuit(model, x)
+    if device is None:
+        return measure(simulate_state(circuit), (model.measure_qubit,))
+    dist = simulate_noisy(circuit, device, qubits=(model.measure_qubit,))
+    if device.readout_confusion:
+        dist = mitigate_readout(dist, device, (model.measure_qubit,))
+    return dist
 
 
 def predict(model: QnnModel, x, device: DeviceModel | None) -> tuple[int, float]:
     """(label, score) with score = P(measure_qubit = 1); ties go to label 1."""
-    score = float(output_distribution(model, x, device)[1])
+    score = float(output_distribution_by_rows(model, x, device)[1])
     return (1 if score >= 0.5 else 0), score
 
 

@@ -97,6 +97,21 @@ def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys,
     assert not (tmp_path / "out" / "cache").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"),
+    ("--eps", "1.5"),
+    ("--delta", "0"),
+    ("--delta", "-0.1"),
+    ("--max-rows", "1"),  # one row makes no pair
+    ("--max-rows", "-5"),  # would slice off the last five rows
+])
+def test_bad_scan_argument_exits_2(toy_config, tmp_path, capsys, flag, value):
+    assert main(["fairness-scan", str(toy_config), flag, value]) == 2
+    assert "config error" in capsys.readouterr().err
+    for name in ("bias_pairs.csv", "lipschitz.csv"):
+        assert not (tmp_path / "out" / name).exists()
+
+
 @pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
 def test_bad_device_file_exits_2(toy_config, tmp_path, capsys, verb):
     device = tmp_path / "old.device"

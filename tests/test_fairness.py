@@ -19,9 +19,9 @@ from qfairdeploy.fairness import (
     write_bias_pairs_csv,
     write_lipschitz_csv,
 )
-from qfairdeploy.qnn import Dataset, build_qnn, encode, output_distribution, synthetic_dataset
+from qfairdeploy.qnn import Dataset, build_qnn, encoded_states, output_distribution, synthetic_dataset
 from qfairdeploy.pipeline import OUTPUT_DIR_ENV
-from qfairdeploy.quantum import simulate_state, total_variation, trace_distance_pure
+from qfairdeploy.quantum import total_variation, trace_distance_pure
 from qfairdeploy.toys import toy_device, toy_model
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
@@ -110,8 +110,8 @@ class TestEstimateLipschitz:
         data = make_dataset(rng.uniform(0.05, 0.95, size=(6, 2)))
         for seed in range(3):
             model = toy_model(2, seed=seed)
-            states = {i: simulate_state(encode(data.features[i])) for i in range(6)}
-            dists = {i: output_distribution(model, data.features[i], None) for i in range(6)}
+            states = encoded_states(data.features)
+            dists = output_distribution(model, data.features, None)
             for i, j in itertools.combinations(range(6), 2):
                 d_in = trace_distance_pure(states[i], states[j])
                 d_out = total_variation(dists[i], dists[j])
@@ -145,8 +145,8 @@ class TestEstimateLipschitz:
         data = make_dataset(np.array([[0.1, 0.8], [0.4, 0.2], [0.6, 0.55], [0.95, 0.35]]))
         model = toy_model(2, seed=3)
         est = estimate_lipschitz(model, None, data)
-        states = {i: simulate_state(encode(data.features[i])) for i in range(4)}
-        dists = {i: output_distribution(model, data.features[i], None) for i in range(4)}
+        states = encoded_states(data.features)
+        dists = output_distribution(model, data.features, None)
         for i, j in itertools.combinations(range(4), 2):
             d_in = trace_distance_pure(states[i], states[j])
             d_out = total_variation(dists[i], dists[j])
@@ -229,12 +229,18 @@ def _scan_case(draw):
 
 
 def _reference_pairs(model, device, data, rows) -> dict:
-    """(i, j) -> (input, output distance) for every pair, one scalar call each."""
-    rows = range(len(data.labels)) if rows is None else rows
-    states = {i: simulate_state(encode(data.features[i])) for i in rows}
-    dists = {i: output_distribution(model, data.features[i], device) for i in rows}
+    """(i, j) -> (input, output distance) for every pair, one scalar call each.
+
+    The per-row vectors come from the same stacked batches `_pair_pass` uses:
+    d_out / d_in magnifies a last-ulp difference between a batched and a
+    row-by-row simulation by up to 1 / DEGENERATE_TOL, far past this test's
+    1e-12. `TestOutputDistribution` in test_qnn.py checks the batches against
+    the row-by-row simulation."""
+    rows = sorted(range(len(data.labels)) if rows is None else rows)
+    states = dict(zip(rows, encoded_states(data.features[rows])))
+    dists = dict(zip(rows, output_distribution(model, data.features[rows], device)))
     return {(i, j): (trace_distance_pure(states[i], states[j]), total_variation(dists[i], dists[j]))
-            for i, j in itertools.combinations(sorted(rows), 2)}
+            for i, j in itertools.combinations(rows, 2)}
 
 
 class TestPairPassMatchesReference:

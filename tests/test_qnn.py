@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, cnot_count
-from qfairdeploy.device import DeviceModel
+from qfairdeploy.device import DeviceModel, bundled_device
 from qfairdeploy.partition import partition, recombine
 from qfairdeploy.qnn import (
     ARCHS,
@@ -23,6 +23,7 @@ from qfairdeploy.qnn import (
     load_params,
     load_schema,
     encoded_states,
+    output_distribution,
     params_length,
     ring_edges,
     synthetic_dataset,
@@ -32,7 +33,7 @@ from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate
-from simulation_oracle import accuracy_by_rows, predict
+from simulation_oracle import accuracy_by_rows, output_distribution_by_rows, predict
 
 
 class TestEncode:
@@ -219,6 +220,54 @@ class TestAccuracy:
         for split in ("train", "test"):
             for dev in (device, None):
                 assert accuracy(model, data, split, dev) == accuracy_by_rows(model, data, split, dev)
+
+
+@st.composite
+def _distribution_case(draw):
+    """A random model of any arch on 1-5 qubits, measured on any qubit, 1-6
+    feature rows, and one of three devices: none, a toy device with random
+    rates and readout confusion, or the same with survival 0 (uniform rate 1)."""
+    n = draw(st.integers(1, 5))
+    arch = draw(st.sampled_from(ARCHS))
+    model = toy_model(n, layers=draw(st.integers(0, 2)), seed=draw(st.integers(0, 10**6)), arch=arch)
+    model = build_qnn(arch, n, model.layers, model.params, measure_qubit=draw(st.integers(0, n - 1)))
+    row = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    features = np.array(draw(st.lists(row, min_size=1, max_size=6)))
+    setting = draw(st.sampled_from(("noiseless", "confusion", "survival-0")))
+    if setting == "noiseless":
+        return model, features, None
+    rate = st.floats(0.0, 0.3)
+    device = replace(
+        toy_device(n, edge_error=draw(rate),
+                   uniform_depolarizing=1.0 if setting == "survival-0" else draw(st.floats(0.0, 0.9))),
+        readout_confusion={q: np.array([[1.0 - a, a], [b, 1.0 - b]])
+                           for q, a, b in ((q, draw(rate), draw(rate)) for q in range(n))},
+    )
+    return model, features, device
+
+
+class TestOutputDistribution:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_distribution_case())
+    def test_batched_matches_row_by_row_oracle(self, case):
+        model, features, device = case
+        expected = np.stack([output_distribution_by_rows(model, x, device) for x in features])
+        np.testing.assert_allclose(output_distribution(model, features, device), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed, measure_qubit", [(0, 0), (1, 3), (2, 7)])
+    def test_eight_qubits_on_ring14_match_oracle(self, seed, measure_qubit):
+        base = toy_model(8, seed=seed)
+        model = build_qnn("c14", 8, base.layers, base.params, measure_qubit=measure_qubit)
+        features = spawn(seed, "ring14-rows").uniform(0.0, 1.0, size=(5, 8))
+        device = bundled_device("ring14")
+        assert device.readout_confusion
+        expected = np.stack([output_distribution_by_rows(model, x, device) for x in features])
+        np.testing.assert_allclose(output_distribution(model, features, device), expected, rtol=0, atol=1e-14)
+
+    def test_empty_feature_matrix_rejected(self):
+        for device in (None, toy_device(2)):
+            with pytest.raises(ValueError, match="non-empty"):
+                output_distribution(toy_model(2), np.empty((0, 2)), device)
 
 
 class TestSyntheticDataset:
