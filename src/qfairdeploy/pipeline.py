@@ -46,11 +46,13 @@ from .qnn import (
     synthetic_dataset,
 )
 from .seeding import spawn
+# generate_candidates: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .synthesis import (
     CacheError,
     DEFAULT_MAX_CANDIDATES,
     CandidateList,
     OptimizerConfig,
+    generate_candidate_lists,
     generate_candidates,
     load_candidate_lists,
     save_candidate_lists,
@@ -175,8 +177,8 @@ def _hash_config(kv: dict[str, str]) -> str:
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse the flat key-value experiment file; overrides replace keys before
     hashing so a changed run is a different config. Unknown keys, values that
-    do not parse, and bad training, weight, evaluation and scheme settings
-    raise ConfigError here, before any stage runs."""
+    do not parse, and bad synthesis, optimizer, training, weight, evaluation
+    and scheme settings raise ConfigError here, before any stage runs."""
     path = Path(path)
     try:
         kv = _parse_kv(path.read_text())
@@ -255,6 +257,12 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"eval.fill must be original or identity, got {cfg.fill!r}")
     if cfg.r_twirls < 1:
         raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
+    if not cfg.eps_syn > 0.0:  # NaN fails too
+        raise ConfigError(f"eps_syn must be > 0, got {cfg.eps_syn}")
+    if cfg.k_max < 0:
+        raise ConfigError(f"k_max must be >= 0, got {cfg.k_max}")
+    if cfg.max_candidates < 1:
+        raise ConfigError(f"max_candidates must be >= 1, got {cfg.max_candidates}")
     for scheme in cfg.schemes:
         if scheme not in ("quest", "random") and not scheme.startswith("rl"):
             raise ConfigError(f"unknown scheme {scheme!r}")
@@ -333,13 +341,8 @@ def synthesize(cfg: ExperimentConfig, model: QnnModel) -> tuple[list[Partition],
             return parts, lists
         except CacheError:
             shutil.rmtree(cache_dir, ignore_errors=True)
-    lists = [
-        generate_candidates(
-            p, cfg.eps_syn, cfg.k_max, cfg.opt,
-            seed=cfg.seed, max_candidates=cfg.max_candidates,
-        )
-        for p in parts
-    ]
+    lists = generate_candidate_lists(parts, cfg.eps_syn, cfg.k_max, cfg.opt,
+                                     seed=cfg.seed, max_candidates=cfg.max_candidates)
     tmp = cache_dir.with_name(cache_dir.name + f".tmp-{os.getpid()}")
     save_candidate_lists(lists, tmp)
     if cache_dir.exists():

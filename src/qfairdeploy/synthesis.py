@@ -5,7 +5,10 @@ unitary-distance budget.
 The optimizer is a multi-start first-order descent on the squared objective
 1 - |Tr(U^dag T)|^2 / d^2 with exact gradients from the adjoint method: one
 forward sweep of prefix products and one backward sweep per step, whatever
-the angle count. All starts run in lockstep as one numpy batch.
+the angle count. Every block that shares a template is fitted in one lockstep
+batch: the starts of all its targets descend together as one numpy batch,
+each start against its own target, so one template costs one descent however
+many partitions use it.
 """
 from __future__ import annotations
 
@@ -62,6 +65,12 @@ MIN_STEP = 1e-14
 class OptimizerConfig:
     starts: int = 8
     iterations: int = 500
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"opt.starts must be >= 1, got {self.starts}")
+        if self.iterations < 0:
+            raise ValueError(f"opt.iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass(frozen=True)
@@ -182,12 +191,15 @@ def _u3_layers(num_qubits: int, params: np.ndarray) -> tuple[np.ndarray, np.ndar
     return u, du, layers
 
 
+_IDENTITY = {2**n: np.eye(2**n) for n in (1, 2, 3)}
+
+
 def _forward(layers: np.ndarray, cnot_rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Forward sweep over a (B, K+1, d, d) layer stack: the product of
     everything ahead of each U3 layer (CNOT slot j included, the identity
     ahead of layer 0), and the whole circuit unitary (B, d, d)."""
     before = np.empty_like(layers)
-    before[:, 0] = np.eye(layers.shape[-1])
+    before[:, 0] = _IDENTITY[layers.shape[-1]]
     unitary = layers[:, 0]
     for j, rows in enumerate(cnot_rows, 1):
         before[:, j] = unitary[:, rows]
@@ -209,11 +221,12 @@ _PARTIAL_TRACES = {n: _partial_trace_subscripts(n) for n in (1, 2, 3)}
 
 
 def _value_and_grad(
-    num_qubits: int, cnot_rows: list[np.ndarray], params: np.ndarray, target: np.ndarray
+    num_qubits: int, cnot_rows: list[np.ndarray], params: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance f = 1 - |Tr(U^dag T)|^2 / d^2 of a (B, P) batch and
-    its exact gradient (B, P), by one forward and one backward sweep (the
-    adjoint method).
+    """Squared distance f = 1 - |Tr(U^dag T)|^2 / d^2 of a (B, P) batch, each
+    start against its own target of the (B, d, d) stack, and its exact
+    gradient (B, P), by one forward and one backward sweep (the adjoint
+    method).
 
     With U = A_j L_j B_j around U3 layer j, dt = Tr(dL_j^dag A_j^dag T B_j^dag)
     / d. The backward sweep carries W_j = A_j^dag T down the layers;
@@ -221,16 +234,16 @@ def _value_and_grad(
     Tr(du^dag u R_q) is the derivative for each angle of that qubit's U3.
     Then df = -2 Re(conj(t) dt).
     """
-    d = target.shape[0]
+    d = targets.shape[-1]
     u, du, layers = _u3_layers(num_qubits, params)
     before, unitary = _forward(layers, cnot_rows)
-    t = np.einsum("bij,ij->b", unitary.conj(), target) / d
+    t = np.einsum("bij,bij->b", unitary.conj(), targets) / d
     overlap = np.abs(t)
     f = np.maximum(0.0, 1.0 - overlap * overlap)
 
     layers_dag = layers.conj().swapaxes(-1, -2)
     adjoint = np.empty_like(layers)  # L_j^dag W_j
-    w = target
+    w = targets
     for j in range(layers.shape[1] - 1, -1, -1):
         np.matmul(layers_dag[:, j], w, out=adjoint[:, j])
         if j:
@@ -245,31 +258,37 @@ def _value_and_grad(
 
 def fit_template(
     template: SynthesisTemplate,
-    target: np.ndarray,
+    targets: np.ndarray,
     eps_syn: float,
-    opt: OptimizerConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> Candidate | None:
-    """Minimize the unitary distance over the template's angles.
+    opt: OptimizerConfig,
+    rngs: list[np.random.Generator],
+) -> list[Candidate | None]:
+    """Minimize the unitary distance to each of a (m, d, d) stack of targets
+    over the template's angles, all targets in one lockstep descent.
 
-    Returns the best candidate if its independently recomputed distance is
-    within eps_syn, else None. Deterministic given the rng state.
+    Target i's opt.starts starts come from rngs[i], and each start descends
+    against its own target exactly as it would alone. Per target, returns
+    its best start's candidate if its independently recomputed distance is
+    within eps_syn, else None. Deterministic given the rng states.
     """
     if eps_syn <= 0.0:
         raise ValueError("eps_syn must be positive")
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (2**template.num_qubits,) * 2:
-        raise ValueError("template/target dimension mismatch")
-    opt = opt or OptimizerConfig()
-    rng = rng if rng is not None else np.random.default_rng(0)
+    targets = np.asarray(targets, dtype=complex)
+    d = 2**template.num_qubits
+    if targets.ndim != 3 or targets.shape[1:] != (d, d) or not len(targets):
+        raise ValueError(f"targets must be a non-empty (m, {d}, {d}) stack, got {targets.shape}")
+    if len(rngs) != len(targets):
+        raise ValueError(f"{len(targets)} targets need as many rngs, got {len(rngs)}")
 
     nq = template.num_qubits
     cnot_rows = [_cnot_rows(nq, c, t) for c, t in template.placements]
-    x = rng.uniform(0.0, 2.0 * math.pi, size=(opt.starts, template.num_params))
-    f, grad = _value_and_grad(nq, cnot_rows, x, target)
+    x = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, size=(opt.starts, template.num_params))
+                        for rng in rngs])
+    start_targets = np.repeat(targets, opt.starts, axis=0)
+    f, grad = _value_and_grad(nq, cnot_rows, x, start_targets)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite synthesis objective")
-    lr = np.full(opt.starts, STEP_SIZE)
+    lr = np.full(len(x), STEP_SIZE)
     target_sq = (eps_syn / 10.0) ** 2
 
     for _ in range(opt.iterations):
@@ -277,7 +296,7 @@ def fit_template(
         if not active.size:
             break
         prop = x[active] - lr[active, None] * grad[active]
-        f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, target)
+        f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, start_targets[active])
         if not np.all(np.isfinite(f_prop)):
             raise FloatingPointError("non-finite synthesis objective")
         improved = f_prop < f[active]
@@ -288,12 +307,15 @@ def fit_template(
         lr[accept] = np.minimum(lr[accept] * STEP_GROW, MAX_STEP)
         lr[active[~improved]] *= STEP_DECAY
 
-    best = int(np.argmin(f))
-    circuit = template.realize(x[best])
-    distance = hs_distance(circuit_unitary(circuit), target)  # re-verified
-    if distance > eps_syn:
-        return None
-    return Candidate(circuit=circuit, distance=distance, cnots=_cnot_count(circuit), depth=_depth(circuit))
+    # each target's best start, as an index into the whole batch
+    best = np.argmin(f.reshape(len(targets), opt.starts), axis=1) + np.arange(0, len(x), opt.starts)
+    found: list[Candidate | None] = []
+    for target, b in zip(targets, best):
+        circuit = template.realize(x[b])
+        distance = hs_distance(circuit_unitary(circuit), target)  # re-verified
+        found.append(None if distance > eps_syn else Candidate(
+            circuit=circuit, distance=distance, cnots=_cnot_count(circuit), depth=_depth(circuit)))
+    return found
 
 
 # --- candidate generation ------------------------------------------------------
@@ -318,6 +340,62 @@ def _placement_patterns(
     return [all_patterns[i] for i in sorted(chosen)]
 
 
+def generate_candidate_lists(
+    parts: list[Partition],
+    eps_syn: float,
+    k_max: int,
+    opt: OptimizerConfig,
+    seed: int,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> list[CandidateList]:
+    """One candidate list per partition: search templates for k = 0..k_max
+    and all (capped) CNOT placements, collect every fit within eps_syn, sort
+    by (cnots, distance) and keep the first max_candidates.
+
+    Every partition that uses a template is fitted in the same lockstep
+    fit_template call, so each distinct template descends once. Each fit
+    draws from its own (partition, k, placement) rng stream, so a list is
+    the same whichever other partitions are synthesized with it.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    # template -> (partition position, fit ordinal within it, rng) per fit
+    jobs: dict[SynthesisTemplate, list[tuple[int, int, np.random.Generator]]] = {}
+    fits: list[list[Candidate | None]] = []
+    for pos, part in enumerate(parts):
+        nq = len(part.qubits)
+        pattern_rng = spawn(seed, "placement-patterns", part.index)
+        ordinal = 0
+        for k in range(k_max + 1 if nq > 1 else 1):  # a 1-qubit block has no pairs
+            for pat_idx, placements in enumerate(_placement_patterns(nq, k, pattern_rng)):
+                fit_rng = spawn(seed, "template-fit", part.index, k, pat_idx)
+                jobs.setdefault(SynthesisTemplate(nq, placements), []).append(
+                    (pos, ordinal, fit_rng))
+                ordinal += 1
+        fits.append([None] * ordinal)
+    for template, group in jobs.items():
+        targets = np.stack([parts[pos].target_unitary for pos, _, _ in group])
+        found = fit_template(template, targets, eps_syn, opt, [rng for _, _, rng in group])
+        for (pos, ordinal, _), cand in zip(group, found):
+            fits[pos][ordinal] = cand
+
+    lists = []
+    for part, part_fits in zip(parts, fits):
+        # fits stay in (k, placement) order, so ties sort as if fitted one by
+        # one; every (k, placement pattern) is fitted once, and its CNOT
+        # layout alone sets its circuit apart, so no two candidates share a
+        # gate list
+        ordered = sorted((c for c in part_fits if c is not None),
+                         key=lambda c: (c.cnots, c.distance))
+        if not ordered:
+            raise SynthesisError(
+                f"no candidate within eps_syn={eps_syn} for partition {part.index}; "
+                "raise eps_syn or k_max"
+            )
+        lists.append(CandidateList(part.index, tuple(ordered[:max_candidates])))
+    return lists
+
+
 def generate_candidates(
     part: Partition,
     eps_syn: float,
@@ -326,31 +404,10 @@ def generate_candidates(
     seed: int = 0,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> CandidateList:
-    """Search templates for k = 0..k_max and all (capped) CNOT placements;
-    collect every fit within eps_syn, sort by (cnots, distance)."""
-    nq = len(part.qubits)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if nq == 1:
-        k_max = 0  # no pairs to entangle
-    found: list[Candidate] = []
-    pattern_rng = spawn(seed, "placement-patterns", part.index)
-    for k in range(k_max + 1):
-        for pat_idx, placements in enumerate(_placement_patterns(nq, k, pattern_rng)):
-            template = SynthesisTemplate(nq, placements)
-            fit_rng = spawn(seed, "template-fit", part.index, k, pat_idx)
-            cand = fit_template(template, part.target_unitary, eps_syn, opt, fit_rng)
-            if cand is not None:
-                found.append(cand)
-    # every (k, placement pattern) is fitted once, and its CNOT layout alone
-    # sets its circuit apart, so no two candidates share a gate list
-    ordered = sorted(found, key=lambda c: (c.cnots, c.distance))
-    if not ordered:
-        raise SynthesisError(
-            f"no candidate within eps_syn={eps_syn} for partition {part.index}; "
-            "raise eps_syn or k_max"
-        )
-    return CandidateList(part.index, tuple(ordered[:max_candidates]))
+    """One partition's candidate list, as generate_candidate_lists([part])
+    builds it; opt defaults to OptimizerConfig()."""
+    return generate_candidate_lists(
+        [part], eps_syn, k_max, opt or OptimizerConfig(), seed, max_candidates)[0]
 
 
 # --- on-disk form: one circuit file per candidate plus an index CSV -------------

@@ -16,7 +16,8 @@ from .device import DeviceModel
 from .partition import Partition, partition
 from .qnn import Dataset, QnnModel, build_qnn, params_length, synthetic_dataset
 from .seeding import spawn
-from .synthesis import CandidateList, OptimizerConfig, generate_candidates
+# generate_candidates: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
+from .synthesis import CandidateList, OptimizerConfig, generate_candidate_lists, generate_candidates
 
 FAST_OPT = OptimizerConfig(starts=4, iterations=200)
 
@@ -90,11 +91,8 @@ def two_partition_instance(
         return Partition(index, (0, 1), sub, circuit_unitary(sub))
 
     parts = [make_part(0, gates[:half]), make_part(1, gates[half:])]
-    lists = [
-        generate_candidates(p, eps_syn, k_max=4, opt=FAST_OPT, seed=seed,
-                            max_candidates=candidates_per_partition)
-        for p in parts
-    ]
+    lists = generate_candidate_lists(parts, eps_syn, k_max=4, opt=FAST_OPT, seed=seed,
+                                     max_candidates=candidates_per_partition)
     env = DeploymentEnv(parts, lists, model, device, data, weights, seed=seed)
     return ToyInstance(env, parts, lists, model, device, data)
 
@@ -106,10 +104,8 @@ def date22_instance(seed: int = 13, weights: RewardWeights = RewardWeights(0.5, 
     device = toy_device(3, edge_error=0.05)
     data = synthetic_dataset(rows=20, num_features=3, seed=seed)
     parts = partition(model.circuit, 2)
-    lists = [
-        generate_candidates(p, 1e-2, k_max=3, opt=FAST_OPT, seed=seed, max_candidates=3)
-        for p in parts
-    ]
+    lists = generate_candidate_lists(parts, 1e-2, k_max=3, opt=FAST_OPT, seed=seed,
+                                     max_candidates=3)
     env = DeploymentEnv(parts, lists, model, device, data, weights, seed=seed)
     return ToyInstance(env, parts, lists, model, device, data)
 

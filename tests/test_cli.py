@@ -89,6 +89,14 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     "schemes quest,greedy",
     "train.iteratons 5",
     "eval.twirls 4",
+    "eps_syn 0",
+    "eps_syn -1",
+    "eps_syn nan",
+    "k_max -1",
+    "max_candidates 0",
+    "opt.starts 0",
+    "opt.starts -2",
+    "opt.iterations -3",
 ])
 def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys, line):
     toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, cnot_count, depth
 from qfairdeploy.partition import Partition, partition, recombine
+from qfairdeploy.pipeline import load_config, load_model
 from qfairdeploy.quantum import circuit_unitary
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
@@ -22,16 +23,21 @@ from qfairdeploy.synthesis import (
     _u3_layers,
     _value_and_grad,
     fit_template,
+    generate_candidate_lists,
     generate_candidates,
     hs_distance,
     load_candidate_lists,
     save_candidate_lists,
     verify_candidate_lists,
 )
+from qfairdeploy.toys import FAST_OPT, toy_model
 
 from conftest import circuits, gate, random_circuit, random_unitary
+from synthesis_oracle import candidate_list_alone, fit_template_alone
 
 FAST = OptimizerConfig(starts=4, iterations=250)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 CNOT_U = circuit_unitary(Circuit(2, (gate("cnot", 0, 1),)))
 
@@ -113,7 +119,8 @@ class TestValueAndGrad:
     def test_matches_central_differences_of_realized_circuits(self, case):
         template, params, target = case
         rows = [_cnot_rows(template.num_qubits, c, t) for c, t in template.placements]
-        f, grad = _value_and_grad(template.num_qubits, rows, params, target)
+        targets = np.repeat(target[None], len(params), axis=0)
+        f, grad = _value_and_grad(template.num_qubits, rows, params, targets)
         d = target.shape[0]
         h = 1e-6
 
@@ -131,19 +138,19 @@ class TestValueAndGrad:
 
 class TestFitTemplate:
     def test_identity_target_k0(self):
-        cand = fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex), 1e-5,
-                            opt=FAST, rng=spawn(1, "fit"))
+        cand = fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex)[None], 1e-5,
+                            opt=FAST, rngs=[spawn(1, "fit")])[0]
         assert cand is not None and cand.distance < 1e-6
         assert cand.cnots == 0
 
     def test_cnot_target_k0_impossible(self):
-        cand = fit_template(SynthesisTemplate(2, ()), CNOT_U, 1e-2,
-                            opt=FAST, rng=spawn(2, "fit"))
+        cand = fit_template(SynthesisTemplate(2, ()), CNOT_U[None], 1e-2,
+                            opt=FAST, rngs=[spawn(2, "fit")])[0]
         assert cand is None  # local products cannot reach an entangling gate
 
     def test_cnot_target_k1_exact(self):
-        cand = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U, 1e-5,
-                            rng=spawn(3, "fit"))
+        cand = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U[None], 1e-5,
+                            opt=OptimizerConfig(), rngs=[spawn(3, "fit")])[0]
         assert cand is not None and cand.distance < 1e-6
         # independent oracle: rebuild the unitary by plain matrix products
         u = np.eye(4, dtype=complex)
@@ -159,13 +166,103 @@ class TestFitTemplate:
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
-            fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex), 0.0)
+            fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex)[None], 0.0,
+                         opt=FAST, rngs=[spawn(4, "fit")])
 
     def test_deterministic_given_seed(self):
-        a = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U, 1e-3, opt=FAST, rng=spawn(7, "x"))
-        b = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U, 1e-3, opt=FAST, rng=spawn(7, "x"))
+        a = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U[None], 1e-3, opt=FAST,
+                         rngs=[spawn(7, "x")])[0]
+        b = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U[None], 1e-3, opt=FAST,
+                         rngs=[spawn(7, "x")])[0]
         assert a.circuit.gates == b.circuit.gates
         assert a.distance == b.distance
+
+    @pytest.mark.parametrize("targets, rngs", [
+        (CNOT_U[None], []),  # one target, no rng
+        (np.stack([CNOT_U, CNOT_U]), [spawn(5, "fit")]),  # two targets, one rng
+        (CNOT_U, [spawn(5, "fit")]),  # a bare matrix, not a stack
+        (np.empty((0, 4, 4)), []),  # no target at all
+        (np.eye(8, dtype=complex)[None], [spawn(5, "fit")]),  # 3-qubit target, 2-qubit template
+    ])
+    def test_rejects_mismatched_targets_and_rngs(self, targets, rngs):
+        with pytest.raises(ValueError):
+            fit_template(SynthesisTemplate(2, ((0, 1),)), targets, 1e-3, opt=FAST, rngs=rngs)
+
+
+@st.composite
+def _lockstep_case(draw):
+    """A template on 1..3 qubits with 0..3 CNOTs, 1..6 targets of its width
+    (Haar-like QR unitaries, random circuits' unitaries, and points the
+    template reaches exactly), a fast optimizer, a budget and a seed."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3)) if n > 1 else 0
+    placements = tuple(tuple(draw(st.permutations(range(n)))[:2]) for _ in range(k))
+    template = SynthesisTemplate(n, placements)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = []
+    for kind in draw(st.lists(st.sampled_from(("haar", "circuit", "reachable")),
+                              min_size=1, max_size=6)):
+        if kind == "haar":
+            targets.append(random_unitary(rng, 2**n))
+        elif kind == "circuit":
+            targets.append(circuit_unitary(draw(circuits(n, n, 8))))
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, template.num_params)
+            targets.append(circuit_unitary(template.realize(angles)))
+    opt = OptimizerConfig(starts=draw(st.integers(1, 4)), iterations=draw(st.integers(0, 40)))
+    eps_syn = draw(st.sampled_from((1e-3, 1e-2, 0.1, 0.5, 0.9)))
+    return template, np.stack(targets), eps_syn, opt, draw(st.integers(0, 2**63 - 1))
+
+
+class TestLockstepAgainstOracle:
+    """The lockstep fit against tests/synthesis_oracle.py, which fits each
+    target on its own: equal gates, angles and distances, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lockstep_case())
+    def test_fit_template_equals_one_target_fits(self, case):
+        template, targets, eps_syn, opt, seed = case
+        rngs = [spawn(seed, "fit", i) for i in range(len(targets))]
+        alone = [fit_template_alone(template, t, eps_syn, opt, spawn(seed, "fit", i))
+                 for i, t in enumerate(targets)]
+        assert fit_template(template, targets, eps_syn, opt, rngs) == alone
+
+    def test_one_call_mixes_accepted_and_rejected_fits(self, rng):
+        template = SynthesisTemplate(2, ((0, 1),))
+        reachable = circuit_unitary(template.realize(rng.uniform(0.0, 6.0, template.num_params)))
+        targets = np.stack([reachable, CNOT_U, random_unitary(rng, 4)])
+        found = fit_template(template, targets, 1e-3, FAST, [spawn(1, "fit", i) for i in range(3)])
+        assert [c is not None for c in found] == [True, True, False]
+        assert found == [fit_template_alone(template, t, 1e-3, FAST, spawn(1, "fit", i))
+                         for i, t in enumerate(targets)]
+
+    @staticmethod
+    def _assert_lists_equal_oracle(parts, eps_syn, k_max, opt, seed, max_candidates):
+        lists = generate_candidate_lists(parts, eps_syn, k_max, opt, seed, max_candidates)
+        assert lists == [candidate_list_alone(p, eps_syn, k_max, opt, seed, max_candidates)
+                         for p in parts]
+
+    def test_mixed_widths_equal_per_partition_fits(self):
+        # date22's 3-qubit ansatz splits into 2-qubit blocks and a width-1 block
+        model = toy_model(num_qubits=3, layers=1, seed=13, arch="date22")
+        parts = partition(model.circuit, 2)
+        assert sorted({len(p.qubits) for p in parts}) == [1, 2]
+        self._assert_lists_equal_oracle(parts, 1e-2, 3, FAST_OPT, 13, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_qubit_blocks_equal_per_partition_fits(self, seed):
+        # k = 3 on 3 qubits samples 20 of 27 placements per partition
+        parts = partition(random_circuit(np.random.default_rng(seed), 4, 12), 3)
+        assert any(len(p.qubits) == 3 for p in parts)
+        self._assert_lists_equal_oracle(parts, 0.9, 3, OptimizerConfig(starts=2, iterations=30),
+                                        seed, 9)
+
+    @pytest.mark.parametrize("seed", [7, 1, 2])
+    def test_toy4_partitions_equal_per_partition_fits(self, seed):
+        cfg = load_config(CONFIG_DIR / "toy4.config")
+        parts = partition(load_model(cfg).circuit, cfg.s_blk)
+        self._assert_lists_equal_oracle(parts, cfg.eps_syn, cfg.k_max, FAST, seed,
+                                        cfg.max_candidates)
 
 
 class TestGenerateCandidates:
