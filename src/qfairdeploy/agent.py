@@ -1,11 +1,15 @@
 """Deep-Q-learning search over per-partition candidate selections.
 
 States are partial deployments encoded as the real/imaginary channels of the
-partial circuit's unitary. The value network is a fully connected ReLU stack
-whose output width is the total candidate count across all partitions; each
-state only ever reads its own partition's slice of that output. Rewards blend
-the measured device error rate (the fairness proxy) with classification
-accuracy, weighted per scheme.
+partial circuit's unitary; each candidate's block unitary, embedded in the
+full register, is built once per environment. The value network is a fully
+connected ReLU stack whose output width is the total candidate count across
+all partitions; each state only ever reads its own partition's slice of that
+output. Rewards blend the measured device error rate (the fairness proxy)
+with classification accuracy, weighted per scheme. The `(accuracy, p)` pair
+does not depend on the weights, so one table per run holds it for every
+scheme; `p` comes from exact-mode `estimate_p`, which layers each twirled
+mirror without building circuits.
 """
 from __future__ import annotations
 
@@ -237,8 +241,15 @@ def train_step(
 
 @dataclass
 class DeploymentEnv:
-    """Binds partitions, candidate lists, and the evaluation context; memoizes
-    the reward of each deployment prefix (simulation dominates the cost).
+    """Binds partitions, candidate lists, and the evaluation context.
+
+    A prefix's `(accuracy, p)` does not depend on the reward weights, so it
+    lives in `evaluations`, a table that every env of one run (one per
+    scheme, all over the same partitions, lists, model, device, data, split,
+    fill, r_twirls and seed) can share: each pair is computed once per run.
+    `_cache` memoizes this env's weighted reward per prefix on top of it.
+    Each candidate's block, mapped onto the full register, and its unitary
+    are built once per env, for `deployed_circuit` and `step`.
 
     Unselected partitions are completed with their original exact sub-circuits,
     so an intermediate reward isolates the effect of the approximations chosen
@@ -255,7 +266,11 @@ class DeploymentEnv:
     fill: str = "original"          # or "identity"
     r_twirls: int = 4
     seed: int = 0
+    evaluations: dict = field(default_factory=dict)  # prefix -> (accuracy, p)
     _cache: dict = field(default_factory=dict)
+    # (partition, ordinal or None for the fill) -> block on the full register
+    _blocks: dict = field(default_factory=dict)
+    _unitaries: dict = field(default_factory=dict)  # (partition, ordinal) -> its unitary
 
     def __post_init__(self):
         if len(self.partitions) != len(self.lists):
@@ -271,16 +286,27 @@ class DeploymentEnv:
         dim = 2**self.model.num_qubits
         return AgentState((), np.eye(dim, dtype=complex))
 
-    def deployed_circuit(self, selections: tuple[int, ...]) -> Circuit:
-        chosen = []
-        for i, part in enumerate(self.partitions):
-            if i < len(selections):
-                chosen.append(self.lists[i].candidates[selections[i]].circuit)
+    def _block(self, p: int, ordinal: int | None) -> Circuit:
+        """Candidate `ordinal` of partition p, or its fill when None, mapped
+        onto the full register; built once per env."""
+        key = (p, ordinal)
+        if key not in self._blocks:
+            part = self.partitions[p]
+            if ordinal is not None:
+                chosen = self.lists[p].candidates[ordinal].circuit
             elif self.fill == "original":
-                chosen.append(part.sub_circuit)
+                chosen = part.sub_circuit
             else:
-                chosen.append(Circuit(len(part.qubits)))
-        return recombine(self.partitions, chosen, self.model.num_qubits)
+                chosen = Circuit(len(part.qubits))
+            self._blocks[key] = recombine([part], [chosen], self.model.num_qubits)
+        return self._blocks[key]
+
+    def deployed_circuit(self, selections: tuple[int, ...]) -> Circuit:
+        """The selected blocks, then the fill, concatenated in partition order."""
+        gates: list = []
+        for p in range(self.num_partitions):
+            gates += self._block(p, selections[p] if p < len(selections) else None).gates
+        return Circuit(self.model.num_qubits, tuple(gates))
 
     def step(self, state: AgentState, action: int) -> AgentState:
         slice_ = action_slice(state, self.lists)
@@ -288,10 +314,24 @@ class DeploymentEnv:
             raise ValueError(f"action {action} outside slice {slice_}")
         ordinal = action - slice_.start
         p = state.next_partition
-        chosen = self.lists[p].candidates[ordinal].circuit
-        embedded = recombine([self.partitions[p]], [chosen], self.model.num_qubits)
-        partial = circuit_unitary(embedded) @ state.partial_unitary
+        key = (p, ordinal)
+        if key not in self._unitaries:
+            self._unitaries[key] = circuit_unitary(self._block(p, ordinal))
+        partial = self._unitaries[key] @ state.partial_unitary
         return AgentState(state.selections + (ordinal,), partial)
+
+    def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:
+        """`(accuracy, p)` of a prefix, computed on the first request into
+        the shared `evaluations` table and read from it afterwards."""
+        if selections not in self.evaluations:
+            circuit = self.deployed_circuit(selections)
+            acc = accuracy(self.model.with_circuit(circuit), self.data, self.split, self.device)
+            p_hat = estimate_p(
+                circuit, self.device, r_twirls=self.r_twirls,
+                shots=None, seed=spawn_seed(self.seed, selections),
+            )
+            self.evaluations[selections] = (acc, p_hat)
+        return self.evaluations[selections]
 
     def reward(self, selections: tuple[int, ...]) -> float:
         """Reward of a (possibly partial) deployment prefix."""
@@ -299,13 +339,7 @@ class DeploymentEnv:
             raise ValueError("reward needs at least one selection")
         if selections in self._cache:
             return self._cache[selections]
-        circuit = self.deployed_circuit(selections)
-        deployed = self.model.with_circuit(circuit)
-        acc = accuracy(deployed, self.data, self.split, self.device)
-        p_hat = estimate_p(
-            circuit, self.device, r_twirls=self.r_twirls,
-            shots=None, seed=spawn_seed(self.seed, selections),
-        )
+        acc, p_hat = self.evaluate(selections)
         value = compute_reward(fairness_score(p_hat), acc, self.weights)
         self._cache[selections] = value
         return value

@@ -134,28 +134,51 @@ def _compensation_table() -> dict:
 _COMPENSATION = _compensation_table()
 
 
+# (before control, before target, after control, after target) per drawn index pair
+_TWIRLS = [[(bc, bt, *_COMPENSATION[(bc, bt)]) for bt in _PAULI_KINDS] for bc in _PAULI_KINDS]
+
+
+def _twirl_draws(gates, rng: np.random.Generator) -> list[tuple]:
+    """For each CNOT among `gates`, in order, the uniformly random Paulis on
+    its control and target and the compensating pair (None = identity).
+    One draw of two indices per CNOT: randomized compiling and exact-mode
+    `estimate_p` both twirl through here."""
+    num_cnots = sum(g.kind is GateKind.CNOT for g in gates)
+    return [_TWIRLS[i][j] for i, j in rng.integers(0, 4, size=(num_cnots, 2)).tolist()]
+
+
 def randomized_compile(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """Twirl each CNOT with uniformly random Paulis before it and the
     compensating Paulis after it; the total unitary is unchanged up to a
     global phase. Non-CNOT gates pass through untouched."""
+    draws = iter(_twirl_draws(circuit.gates, rng))
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.kind is not GateKind.CNOT:
             gates.append(g)
             continue
-        bc, bt = (_PAULI_KINDS[i] for i in rng.integers(0, 4, size=2))
-        rc, rt = _COMPENSATION[(bc, bt)]
-        for kind, q in ((bc, g.qubits[0]), (bt, g.qubits[1])):
-            if kind is not None:
-                gates.append(Gate(kind, (q,)))
+        bc, bt, rc, rt = next(draws)
+        c, t = g.qubits
+        gates += [Gate(kind, (q,)) for kind, q in ((bc, c), (bt, t)) if kind is not None]
         gates.append(g)
-        for kind, q in ((rc, g.qubits[0]), (rt, g.qubits[1])):
-            if kind is not None:
-                gates.append(Gate(kind, (q,)))
+        gates += [Gate(kind, (q,)) for kind, q in ((rc, c), (rt, t)) if kind is not None]
     return Circuit(circuit.num_qubits, tuple(gates))
 
 
 # --- error accumulation --------------------------------------------------------
+
+
+def _unrouted(g: Gate, device: DeviceModel) -> UnroutedGateError:
+    return UnroutedGateError(f"{g.kind.value} on {g.qubits} is not a coupling edge of {device.name}")
+
+
+def _edges_rate(edges, device: DeviceModel) -> float:
+    """Rate of one layer of concurrent routed edges, in gate order: the
+    per-edge errors, then the crosstalk of each pair, clamped to [0, 1]."""
+    rate = sum(device.cnot_error[e] for e in edges)
+    for e1, e2 in itertools.combinations(edges, 2):
+        rate += device.crosstalk_rate(e1, e2)
+    return min(max(rate, 0.0), 1.0)
 
 
 def layer_error_rate(layer_gates: list[Gate], device: DeviceModel) -> float:
@@ -167,12 +190,9 @@ def layer_error_rate(layer_gates: list[Gate], device: DeviceModel) -> float:
             continue
         e = _edge(*g.qubits)
         if e not in device.cnot_error:
-            raise UnroutedGateError(f"{g.kind.value} on {g.qubits} is not a coupling edge of {device.name}")
+            raise _unrouted(g, device)
         edges.append(e)
-    rate = sum(device.cnot_error[e] for e in edges)
-    for e1, e2 in itertools.combinations(edges, 2):
-        rate += device.crosstalk_rate(e1, e2)
-    return min(max(rate, 0.0), 1.0)
+    return _edges_rate(edges, device)
 
 
 def _two_qubit_layers(circuit: Circuit) -> list[list[Gate]]:
@@ -272,31 +292,74 @@ def estimate_p(
     with survival 1 - P keeps |0...0> with probability P0 = (1 - P) + P / 2^n,
     and p = (1 - P0) / (1 - 2^-n) gives back P. shots=None returns the mean
     P over the twirls in closed form, 1 - P = (1 - p_total)(1 - u), since
-    readout mitigation is exact there. Shot mode samples each mirror,
-    mitigates readout and converts the mean sampled P0. In both modes the
-    twirl Paulis shift the ASAP layering, and so the crosstalk.
+    readout mitigation is exact there; it layers each mirror from per-qubit
+    frontiers and builds no circuit. Shot mode samples each mirror,
+    mitigates readout and converts the mean sampled P0. Both modes draw the
+    twirl Paulis from the same `spawn(seed, "twirl", t)` streams, and in both
+    the Paulis shift the ASAP layering, and so the crosstalk.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
     est = estimation_circuit(circuit)
-    mirrors = []
-    for t in range(r_twirls):
-        twirled = randomized_compile(est, spawn(seed, "twirl", t))
-        mirrors.append(concat(twirled, inverse(twirled)))
     if shots is None:
+        for g in est.gates:
+            if _edge(*g.qubits) not in device.cnot_error:
+                raise _unrouted(g, device)
         keep = 1.0 - device.uniform_depolarizing
-        p_hat = sum(1.0 - (1.0 - accumulate_p(m, device).p_total) * keep for m in mirrors) / r_twirls
+        rates: dict[tuple, float] = {}
+        p_hat = sum(1.0 - (1.0 - _mirror_p_total(est, spawn(seed, "twirl", t), device, rates)) * keep
+                    for t in range(r_twirls)) / r_twirls
         return min(max(p_hat, 0.0), 1.0)
     n = est.num_qubits
     all_qubits = tuple(range(n))
     survival = 0.0
-    for t, run in enumerate(mirrors):
-        dist = simulate_noisy(run, device, qubits=all_qubits, shots=shots, rng=spawn(seed, "shots", t))
+    for t in range(r_twirls):
+        twirled = randomized_compile(est, spawn(seed, "twirl", t))
+        dist = simulate_noisy(concat(twirled, inverse(twirled)), device, qubits=all_qubits,
+                              shots=shots, rng=spawn(seed, "shots", t))
         if device.readout_confusion:
             dist = mitigate_readout(dist, device, all_qubits)
         survival += float(dist[0])
     p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-n))
     return min(max(p_hat, 0.0), 1.0)
+
+
+def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel,
+                    rates: dict[tuple, float]) -> float:
+    """`accumulate_p(concat(twirled, inverse(twirled)), device).p_total` of
+    one twirl of a routed 2-qubit-only circuit, built from qubit tuples
+    instead of gates. The inverse runs the same qubits backwards, and ASAP
+    layering only needs each qubit's first free layer, so the Paulis shift
+    the 2-qubit gates as they do in the circuit. `rates` memoizes
+    `_edges_rate` per layer's edge tuple across the twirls of one call."""
+    draws = iter(_twirl_draws(est.gates, rng))
+    steps: list[tuple] = []  # the qubits of each gate of the twirled circuit
+    for g in est.gates:
+        if g.kind is not GateKind.CNOT:
+            steps.append(g.qubits)
+            continue
+        bc, bt, rc, rt = next(draws)
+        c, t = g.qubits
+        steps += [(q,) for kind, q in ((bc, c), (bt, t)) if kind is not None]
+        steps.append(g.qubits)
+        steps += [(q,) for kind, q in ((rc, c), (rt, t)) if kind is not None]
+    frontier = [0] * est.num_qubits
+    by_layer: dict[int, list[tuple[int, int]]] = {}
+    for qubits in steps + steps[::-1]:
+        if len(qubits) == 1:
+            frontier[qubits[0]] += 1
+            continue
+        a, b = qubits
+        layer = max(frontier[a], frontier[b])
+        frontier[a] = frontier[b] = layer + 1
+        by_layer.setdefault(layer, []).append(_edge(a, b))
+    survive = 1.0
+    for layer in sorted(by_layer):
+        edges = tuple(by_layer[layer])
+        if edges not in rates:
+            rates[edges] = _edges_rate(edges, device)
+        survive *= 1.0 - rates[edges]
+    return 1.0 - survive
 
 
 # --- device files ------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .agent import (
     run_search,
     save_curves,
     save_selections,
-    spawn_seed,
 )
 from .circuits import circuit_to_text, cnot_count, depth, save_circuit
+# estimate_p: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .device import (
     BUNDLED_DEVICES,
     DeviceModel,
@@ -35,6 +35,7 @@ from .device import (
 )
 from .fairness import fairness_score
 from .partition import Partition, partition, space_size
+# accuracy: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .qnn import (
     Dataset,
     QnnModel,
@@ -257,8 +258,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"eval.fill must be original or identity, got {cfg.fill!r}")
     if cfg.r_twirls < 1:
         raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
-    if not cfg.eps_syn > 0.0:  # NaN fails too
-        raise ConfigError(f"eps_syn must be > 0, got {cfg.eps_syn}")
+    if not 0.0 < cfg.eps_syn <= 1.0:  # a unitary distance is at most 1; NaN fails too
+        raise ConfigError(f"eps_syn must lie in (0, 1], got {cfg.eps_syn}")
     if cfg.k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {cfg.k_max}")
     if cfg.max_candidates < 1:
@@ -423,9 +424,7 @@ def _evaluate_selections(
 ) -> DeploymentReport:
     deployed = env.deployed_circuit(selections)
     reward = env.reward(selections)
-    acc = accuracy(env.model.with_circuit(deployed), env.data, env.split, env.device)
-    p_hat = estimate_p(deployed, env.device, r_twirls=env.r_twirls,
-                       shots=None, seed=spawn_seed(env.seed, selections))
+    acc, p_hat = env.evaluate(selections)
     return DeploymentReport(
         scheme=scheme,
         accuracy=acc,
@@ -460,12 +459,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
     parts, lists = stage("synthesize", lambda: synthesize(cfg, model))
 
     reports = []
+    evaluations: dict = {}  # (accuracy, p) per selection, shared by every scheme
     for scheme in cfg.schemes:
         started = time.perf_counter()
         weights = cfg.scheme_weights(scheme)
         env = DeploymentEnv(
             parts, lists, model, device, data, weights,
             split=cfg.eval_split, fill=cfg.fill, r_twirls=cfg.r_twirls, seed=cfg.seed,
+            evaluations=evaluations,
         )
         if scheme == "quest":
             selections = baseline_min_cnot(lists)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, concat
+from .circuits import Circuit, Gate, GateKind
 # simulate_noisy, simulate_state: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
 from .device import DeviceModel, accumulate_p, simulate_noisy
 from .quantum import evolve, simulate_state
@@ -260,10 +260,6 @@ def build_qnn(
     return QnnModel(arch, num_qubits, layers, params, measure_qubit, Circuit(num_qubits, tuple(gates)))
 
 
-def full_circuit(model: QnnModel, x) -> Circuit:
-    return concat(encode(x), model.circuit)
-
-
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -272,7 +268,9 @@ def output_distribution(model: QnnModel, features, device: DeviceModel | None) -
     matrix, shape (rows, 2), from one batched evolution. On a device each
     row becomes (1 - P) d + P / 2 with 1 - P = (1 - p_total)(1 - u): one P
     serves every row, as the encoded circuits differ only in their angles,
-    and exact readout mitigation cancels the confusion, so it is left out."""
+    and exact readout mitigation cancels the confusion, so it is left out.
+    p_total is the ansatz's own: the encoder's RYs fill layer 0 on every
+    qubit, so they shift each 2-qubit layer by one and change no rate."""
     n, q = model.num_qubits, model.measure_qubit
     psi = encoded_states(features)
     if psi.shape[1] != 2**n:
@@ -281,7 +279,7 @@ def output_distribution(model: QnnModel, features, device: DeviceModel | None) -
     marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(psi)).sum(axis=(0, 2))
     dist = (marginal / marginal.sum(axis=0)).T
     if device is not None:
-        survive = ((1.0 - accumulate_p(full_circuit(model, features[0]), device).p_total)
+        survive = ((1.0 - accumulate_p(model.circuit, device).p_total)
                    * (1.0 - device.uniform_depolarizing))
         dist = survive * dist + (1.0 - survive) / 2
     return dist

@@ -78,13 +78,15 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n_axes: int) -> np.ndarray:
-    """Apply `mat` (2^k x 2^k) to the given axes of a [2]*n_axes tensor."""
-    k = len(axes)
-    m = mat.reshape([2] * (2 * k))
-    # tensordot contracts mat's column indices with the state's target axes,
-    # placing the result's row indices first; move them back.
-    out = np.tensordot(m, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+    """Apply `mat` (2^k x 2^k) to the given axes of a [2]*n_axes tensor.
+
+    The target axes go first and the rest flatten into columns, so one
+    matrix product contracts them (the product `np.tensordot` would make,
+    without its bookkeeping); the result's axes are then put back."""
+    perm = (*axes, *(i for i in range(tensor.ndim) if i not in axes))
+    moved = tensor.transpose(perm)
+    out = np.dot(np.ascontiguousarray(mat), moved.reshape(mat.shape[0], -1)).reshape(moved.shape)
+    return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _check_cap(circuit: Circuit) -> None:

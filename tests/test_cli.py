@@ -92,6 +92,8 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     "eps_syn 0",
     "eps_syn -1",
     "eps_syn nan",
+    "eps_syn 1.5",
+    "eps_syn inf",
     "k_max -1",
     "max_candidates 0",
     "opt.starts 0",

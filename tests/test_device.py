@@ -30,7 +30,11 @@ from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate, random_circuit
 from density_oracle import simulate_noisy_density
-from simulation_oracle import estimate_p_by_simulation
+from simulation_oracle import (
+    estimate_p_by_mirror_circuits,
+    estimate_p_by_simulation,
+    randomized_compile_by_gate,
+)
 
 
 class TestEstimationCircuit:
@@ -239,6 +243,74 @@ def test_randomized_compile_keeps_random_unitaries(case, seed):
     circuit = case[0]
     twirled = randomized_compile(circuit, spawn(seed, "twirl-property"))
     assert hs_distance(circuit_unitary(circuit), circuit_unitary(twirled)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_noisy_case(), st.integers(0, 2**31))
+def test_randomized_compile_draws_like_one_cnot_at_a_time(case, seed):
+    circuit = case[0]
+    assert (randomized_compile(circuit, spawn(seed, "twirl"))
+            == randomized_compile_by_gate(circuit, spawn(seed, "twirl")))
+
+
+@st.composite
+def _mirror_case(draw):
+    """A random CNOT/RZZ circuit with 1-qubit gates between on 2..6 qubits,
+    a fully coupled device with random edge and crosstalk rates, and a
+    uniform rate that is zero half the time."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        a, b = draw(st.permutations(range(n)))[:2]
+        kind = draw(st.sampled_from(("cnot", "rzz", "ry")))
+        if kind == "cnot":
+            gates.append(Gate(GateKind.CNOT, (a, b)))
+        elif kind == "rzz":
+            gates.append(Gate(GateKind.RZZ, (a, b), (draw(_angle),)))
+        else:
+            gates.append(Gate(GateKind.RY, (a,), (draw(_angle),)))
+    edges = list(itertools.combinations(range(n), 2))
+    device = DeviceModel(
+        name="m", num_qubits=n,
+        cnot_error={e: draw(_rate) for e in edges},
+        crosstalk={frozenset(pair): draw(_rate) for pair in itertools.combinations(edges, 2)
+                   if draw(st.booleans())},
+        crosstalk_default=draw(st.floats(0.0, 0.05)),
+        uniform_depolarizing=draw(st.sampled_from((0.0, 0.25))) if draw(st.booleans())
+        else draw(st.floats(0.0, 1.0)),
+    )
+    return Circuit(n, tuple(gates)), device
+
+
+class TestMirrorLayering:
+    """Exact-mode estimate_p layers each twirled mirror from qubit tuples;
+    the oracle builds the mirror as Circuits and layers it with accumulate_p."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mirror_case(), st.integers(1, 16), st.integers(0, 2**31))
+    def test_equals_mirror_circuit_oracle(self, case, r_twirls, seed):
+        circuit, device = case
+        assert (estimate_p(circuit, device, r_twirls=r_twirls, shots=None, seed=seed)
+                == estimate_p_by_mirror_circuits(circuit, device, r_twirls, seed))
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("r_twirls", [1, 4, 16])
+    def test_equals_oracle_on_ring14(self, seed, r_twirls):
+        device = bundled_device("ring14")
+        for arch in ("c14", "date22"):
+            circuit = toy_model(8, layers=2, seed=seed, arch=arch).circuit
+            assert (estimate_p(circuit, device, r_twirls=r_twirls, shots=None, seed=seed)
+                    == estimate_p_by_mirror_circuits(circuit, device, r_twirls, seed))
+
+    @pytest.mark.parametrize("kind", ["cnot", "rzz"])
+    def test_unrouted_gate_raises_in_both(self, kind):
+        dev = DeviceModel(name="line", num_qubits=3, cnot_error={(0, 1): 0.01, (1, 2): 0.01})
+        params = (0.3,) if kind == "rzz" else ()
+        c = Circuit(3, (gate("cnot", 0, 1), gate(kind, 2, 0, params=params)))
+        with pytest.raises(UnroutedGateError):
+            estimate_p(c, dev, r_twirls=2, shots=None)
+        with pytest.raises(UnroutedGateError):
+            estimate_p_by_mirror_circuits(c, dev, 2, 0)
 
 
 class TestMitigateReadout:

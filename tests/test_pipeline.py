@@ -231,6 +231,59 @@ class TestRunExperiment:
         assert (out / "reports.csv").read_bytes() == first
 
 
+def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
+    # one (accuracy, p) per distinct selection across all seven schemes, and
+    # one embedded unitary per candidate per env, however often it is stepped
+    import qfairdeploy.agent as agent
+    import qfairdeploy.pipeline as pipeline
+    _, _, out = toy_run
+    shutil.copytree(out / "cache", tmp_path / "cache")
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    cfg = load_config(REPO_CONFIG, {"schemes": "quest,random,rl1,rl2,rl3,rl4,rl5",
+                                    "train.iterations": "12"})
+    calls = {"accuracy": 0, "estimate_p": 0}
+    selections, steps, unitaries = set(), {}, {}
+    stepping = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def reward(self, sel, _orig=DeploymentEnv.reward):
+        selections.add(sel)
+        return _orig(self, sel)
+
+    def step(self, state, action, _orig=DeploymentEnv.step):
+        steps[id(self)] = steps.get(id(self), 0) + 1
+        stepping.append(id(self))
+        try:
+            return _orig(self, state, action)
+        finally:
+            stepping.pop()
+
+    def circuit_unitary(circuit, _orig=agent.circuit_unitary):
+        if stepping:
+            unitaries[stepping[-1]] = unitaries.get(stepping[-1], 0) + 1
+        return _orig(circuit)
+
+    for name in calls:
+        monkeypatch.setattr(agent, name, counted(name, getattr(agent, name)))
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(agent, "circuit_unitary", circuit_unitary)
+    monkeypatch.setattr(DeploymentEnv, "reward", reward)
+    monkeypatch.setattr(DeploymentEnv, "step", step)
+
+    run_experiment(cfg)
+    lists = load_candidate_lists(next((tmp_path / "cache").glob("synth-*")))
+    candidates = sum(len(cl) for cl in lists)
+    assert calls == {"accuracy": len(selections), "estimate_p": len(selections)}
+    assert len(steps) == 5  # one env per rl scheme steps
+    assert all(n > candidates for n in steps.values())  # so the bound below bites
+    assert all(unitaries[env] <= candidates for env in steps)
+
+
 def _swap_candidate(cache: Path) -> None:
     shutil.copyfile(cache / "p001_c00.qc", cache / "p000_c00.qc")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, cnot_count
-from qfairdeploy.device import DeviceModel, bundled_device
+from qfairdeploy.device import DeviceModel, accumulate_p, bundled_device
 from qfairdeploy.partition import partition, recombine
 from qfairdeploy.qnn import (
     ARCHS,
@@ -18,7 +18,6 @@ from qfairdeploy.qnn import (
     accuracy,
     build_qnn,
     encode,
-    full_circuit,
     load_dataset,
     load_params,
     load_schema,
@@ -33,7 +32,7 @@ from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate
-from simulation_oracle import accuracy_by_rows, output_distribution_by_rows, predict
+from simulation_oracle import accuracy_by_rows, full_circuit, output_distribution_by_rows, predict
 
 
 class TestEncode:
@@ -263,6 +262,24 @@ class TestOutputDistribution:
         assert device.readout_confusion
         expected = np.stack([output_distribution_by_rows(model, x, device) for x in features])
         np.testing.assert_allclose(output_distribution(model, features, device), expected, rtol=0, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_distribution_case())
+    def test_encoder_leaves_the_noise_rate_unchanged(self, case):
+        # the encoder's RYs fill layer 0 on every qubit, so the ansatz's
+        # 2-qubit layers only move up by one: same layers, same rates
+        model, features, device = case
+        device = device or toy_device(model.num_qubits)
+        own = accumulate_p(model.circuit, device)
+        for x in features:
+            assert accumulate_p(full_circuit(model, x), device) == own
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_encoder_leaves_the_noise_rate_unchanged_on_ring14(self, arch):
+        base = toy_model(8, layers=2, seed=3, arch=arch)
+        device = bundled_device("ring14")
+        x = spawn(3, "ring14-row").uniform(0.0, 1.0, size=8)
+        assert accumulate_p(full_circuit(base, x), device) == accumulate_p(base.circuit, device)
 
     def test_empty_feature_matrix_rejected(self):
         for device in (None, toy_device(2)):

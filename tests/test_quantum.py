@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, concat
 from qfairdeploy.device import simulate_noisy
 from qfairdeploy.quantum import (
     circuit_unitary,
+    evolve,
     measure,
     simulate_state,
     total_variation,
@@ -16,8 +19,9 @@ from qfairdeploy.quantum import (
 from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device
 
-from conftest import gate, random_circuit, random_state
+from conftest import circuits, gate, random_circuit, random_state
 from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
+from simulation_oracle import evolve_by_tensordot
 
 
 def apply_gate(state, g):
@@ -85,6 +89,20 @@ class TestCircuitUnitary:
         prep, c = random_circuit(rng, 3, 10), random_circuit(rng, 3, 15)
         psi = simulate_state(prep)
         np.testing.assert_allclose(circuit_unitary(c) @ psi, simulate_state(concat(prep, c)), atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuits(max_qubits=6, max_gates=24), st.sampled_from(("state", "real-batch", "unitary")),
+       st.integers(0, 2**31))
+def test_evolve_equals_tensordot_bit_for_bit(circuit, kind, seed):
+    # one matrix product per gate on the same operands tensordot builds
+    rng = np.random.default_rng(seed)
+    dim = 2**circuit.num_qubits
+    states = {"state": lambda: random_state(rng, circuit.num_qubits),
+              "real-batch": lambda: rng.uniform(-1.0, 1.0, size=(dim, 5)),
+              "unitary": lambda: np.eye(dim, dtype=complex)}[kind]()
+    out, ref = evolve(circuit, states), evolve_by_tensordot(circuit, states)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 class TestDepolarize:
