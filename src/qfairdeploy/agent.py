@@ -1,15 +1,16 @@
 """Deep-Q-learning search over per-partition candidate selections.
 
-States are partial deployments encoded as the real/imaginary channels of the
-partial circuit's unitary; each candidate's block unitary, embedded in the
-full register, is built once per environment. The value network is a fully
-connected ReLU stack whose output width is the total candidate count across
-all partitions; each state only ever reads its own partition's slice of that
-output. Rewards blend the measured device error rate (the fairness proxy)
-with classification accuracy, weighted per scheme. The `(accuracy, p)` pair
-does not depend on the weights, so one table per run holds it for every
-scheme; `p` comes from exact-mode `estimate_p`, which layers each twirled
-mirror without building circuits.
+A search state is the decision made so far: the tuple of chosen candidate
+ordinals, one per completed partition. The value network reads it as a
+vector over all candidates (1.0 at each chosen one) plus a constant 1.0, so
+its input width is the total candidate count + 1 at any qubit count. It is a
+fully connected ReLU stack whose output width is the total candidate count
+across all partitions; each state only ever reads its own partition's slice
+of that output. Rewards blend the measured device error rate (the fairness
+proxy) with classification accuracy, weighted per scheme. The
+`(accuracy, p)` pair does not depend on the weights, so one table per run
+holds it for every scheme; `p` comes from exact-mode `estimate_p`, which
+layers each twirled mirror without building circuits.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .device import DeviceModel, estimate_p
 from .fairness import fairness_score
 from .partition import Partition, recombine
 from .qnn import Dataset, QnnModel, accuracy
+# circuit_unitary: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .quantum import circuit_unitary
 from .seeding import spawn
 from .synthesis import CandidateList
@@ -65,6 +67,13 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_final <= 1.0):
             raise ValueError("epsilons must lie in [0, 1]")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        counts = (self.iterations, self.target_sync_period, self.replay_capacity,
+                  self.batch_size, *self.hidden_sizes)
+        if min(counts) < 1:
+            raise ValueError("iterations, target_sync_period, replay_capacity, batch_size "
+                             f"and hidden sizes must be >= 1, got {counts}")
 
     def epsilon_at(self, episode: int) -> float:
         """Linear anneal from epsilon_start to epsilon_final over iterations."""
@@ -77,29 +86,25 @@ class TrainConfig:
 # --- states and the action space ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Partial deployment: chosen candidate ordinal per completed partition
-    plus the unitary of the partial circuit (identity when blank)."""
-
-    selections: tuple[int, ...]
-    partial_unitary: np.ndarray
-
-    @property
-    def next_partition(self) -> int:
-        return len(self.selections)
-
-
-def state_tensor(state: AgentState) -> np.ndarray:
-    """(d, d, 2) tensor: real parts in channel 0, imaginary parts in channel 1."""
-    u = state.partial_unitary
-    return np.stack([u.real, u.imag], axis=-1)
+def state_tensor(selections: tuple[int, ...], lists: list[CandidateList]) -> np.ndarray:
+    """The value network's input for a state: width total candidates + 1,
+    1.0 at each chosen candidate's global index (the one `action_slice` gives
+    it) and a trailing constant 1.0. The constant is what lets the blank
+    state's Q values train: without it that state is all zeros and reaches
+    the first layer only through biases that start at 0."""
+    vec = np.zeros(sum(len(cl) for cl in lists) + 1)
+    start = 0
+    for cl, ordinal in zip(lists, selections):
+        vec[start + ordinal] = 1.0
+        start += len(cl)
+    vec[-1] = 1.0
+    return vec
 
 
-def action_slice(state: AgentState, lists: list[CandidateList]) -> range:
+def action_slice(selections: tuple[int, ...], lists: list[CandidateList]) -> range:
     """Global candidate indices available from this state: the contiguous
     block belonging to the next unselected partition."""
-    p = state.next_partition
+    p = len(selections)
     if p >= len(lists):
         raise ValueError("terminal state has no actions")
     start = sum(len(cl) for cl in lists[:p])
@@ -219,12 +224,12 @@ def train_step(
     non-terminal next states. Returns the pre-update loss."""
     if not batch:
         raise ValueError("empty batch")
-    inputs = np.stack([t.state_tensor.ravel() for t in batch])
+    inputs = np.stack([t.state_tensor for t in batch])
     actions = np.array([t.action for t in batch], dtype=int)
     next_q_max: list[float | None] = [None] * len(batch)
     live = [i for i, t in enumerate(batch) if t.next_state_tensor is not None]
     if live:
-        q_next = target_net.forward(np.stack([batch[i].next_state_tensor.ravel() for i in live]))
+        q_next = target_net.forward(np.stack([batch[i].next_state_tensor for i in live]))
         for i, q in zip(live, q_next):
             lo, hi = batch[i].next_slice
             next_q_max[i] = float(q[lo:hi].max())
@@ -243,17 +248,17 @@ def train_step(
 class DeploymentEnv:
     """Binds partitions, candidate lists, and the evaluation context.
 
-    A prefix's `(accuracy, p)` does not depend on the reward weights, so it
+    A search state is the selections tuple; `step` appends one ordinal. A
+    prefix's `(accuracy, p)` does not depend on the reward weights, so it
     lives in `evaluations`, a table that every env of one run (one per
     scheme, all over the same partitions, lists, model, device, data, split,
-    fill, r_twirls and seed) can share: each pair is computed once per run.
-    `_cache` memoizes this env's weighted reward per prefix on top of it.
-    Each candidate's block, mapped onto the full register, and its unitary
-    are built once per env, for `deployed_circuit` and `step`.
+    r_twirls and seed) can share: each pair is computed once per run, and
+    `reward` weighs it with this env's weights. Each candidate's block,
+    mapped onto the full register, is built once per env.
 
-    Unselected partitions are completed with their original exact sub-circuits,
-    so an intermediate reward isolates the effect of the approximations chosen
-    so far. Identity fill is available instead via `fill`.
+    Unselected partitions are completed with their original exact
+    sub-circuits, so an intermediate reward isolates the effect of the
+    approximations chosen so far.
     """
 
     partitions: list[Partition]
@@ -263,62 +268,45 @@ class DeploymentEnv:
     data: Dataset
     weights: RewardWeights
     split: str = "test"
-    fill: str = "original"          # or "identity"
     r_twirls: int = 4
     seed: int = 0
     evaluations: dict = field(default_factory=dict)  # prefix -> (accuracy, p)
-    _cache: dict = field(default_factory=dict)
-    # (partition, ordinal or None for the fill) -> block on the full register
+    # (partition, ordinal or None for the original block) -> block on the full register
     _blocks: dict = field(default_factory=dict)
-    _unitaries: dict = field(default_factory=dict)  # (partition, ordinal) -> its unitary
 
     def __post_init__(self):
         if len(self.partitions) != len(self.lists):
             raise ValueError("one candidate list per partition required")
-        if self.fill not in ("original", "identity"):
-            raise ValueError("fill must be 'original' or 'identity'")
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
 
-    def blank_state(self) -> AgentState:
-        dim = 2**self.model.num_qubits
-        return AgentState((), np.eye(dim, dtype=complex))
-
     def _block(self, p: int, ordinal: int | None) -> Circuit:
-        """Candidate `ordinal` of partition p, or its fill when None, mapped
-        onto the full register; built once per env."""
+        """Candidate `ordinal` of partition p, or its original sub-circuit
+        when None, mapped onto the full register; built once per env."""
         key = (p, ordinal)
         if key not in self._blocks:
             part = self.partitions[p]
-            if ordinal is not None:
-                chosen = self.lists[p].candidates[ordinal].circuit
-            elif self.fill == "original":
-                chosen = part.sub_circuit
-            else:
-                chosen = Circuit(len(part.qubits))
+            chosen = part.sub_circuit if ordinal is None else self.lists[p].candidates[ordinal].circuit
             self._blocks[key] = recombine([part], [chosen], self.model.num_qubits)
         return self._blocks[key]
 
     def deployed_circuit(self, selections: tuple[int, ...]) -> Circuit:
-        """The selected blocks, then the fill, concatenated in partition order."""
+        """The selected blocks, then the original ones, concatenated in
+        partition order."""
         gates: list = []
         for p in range(self.num_partitions):
             gates += self._block(p, selections[p] if p < len(selections) else None).gates
         return Circuit(self.model.num_qubits, tuple(gates))
 
-    def step(self, state: AgentState, action: int) -> AgentState:
-        slice_ = action_slice(state, self.lists)
+    def step(self, selections: tuple[int, ...], action: int) -> tuple[int, ...]:
+        """The state after taking global candidate index `action`, which must
+        lie in the next partition's window."""
+        slice_ = action_slice(selections, self.lists)
         if action not in slice_:
             raise ValueError(f"action {action} outside slice {slice_}")
-        ordinal = action - slice_.start
-        p = state.next_partition
-        key = (p, ordinal)
-        if key not in self._unitaries:
-            self._unitaries[key] = circuit_unitary(self._block(p, ordinal))
-        partial = self._unitaries[key] @ state.partial_unitary
-        return AgentState(state.selections + (ordinal,), partial)
+        return selections + (action - slice_.start,)
 
     def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:
         """`(accuracy, p)` of a prefix, computed on the first request into
@@ -337,12 +325,8 @@ class DeploymentEnv:
         """Reward of a (possibly partial) deployment prefix."""
         if not selections:
             raise ValueError("reward needs at least one selection")
-        if selections in self._cache:
-            return self._cache[selections]
         acc, p_hat = self.evaluate(selections)
-        value = compute_reward(fairness_score(p_hat), acc, self.weights)
-        self._cache[selections] = value
-        return value
+        return compute_reward(fairness_score(p_hat), acc, self.weights)
 
 
 def spawn_seed(master: int, selections: tuple[int, ...]) -> int:
@@ -372,8 +356,7 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
     ever evaluated plus per-episode curves.
     """
     total_actions = sum(len(cl) for cl in env.lists)
-    dim = 2**env.model.num_qubits
-    input_size = 2 * dim * dim
+    input_size = total_actions + 1  # state_tensor's width
     init_rng = spawn(cfg.seed, "net-init")
     policy = ValueNetwork(input_size, cfg.hidden_sizes, total_actions, init_rng)
     target_net = ValueNetwork(input_size, cfg.hidden_sizes, total_actions, init_rng)
@@ -387,33 +370,32 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
 
     for episode in range(cfg.iterations):
         epsilon = cfg.epsilon_at(episode)
-        state = env.blank_state()
-        tensor = state_tensor(state)
+        state: tuple[int, ...] = ()
+        tensor = state_tensor(state, env.lists)
         episode_max_q = -np.inf
-        while state.next_partition < env.num_partitions:
+        while len(state) < env.num_partitions:
             slice_ = action_slice(state, env.lists)
-            qvalues = policy.forward(tensor.ravel())
+            qvalues = policy.forward(tensor)
             episode_max_q = max(episode_max_q, float(qvalues[slice_.start:slice_.stop].max()))
-            if state.next_partition == 0:
+            if not state:
                 action = int(slice_[explore_rng.integers(0, len(slice_))])
             else:
                 action = select_action(qvalues, slice_, epsilon, explore_rng)
             nxt = env.step(state, action)
-            reward = env.reward(nxt.selections)
-            terminal = nxt.next_partition == env.num_partitions
-            if terminal:
+            reward = env.reward(nxt)
+            if len(nxt) == env.num_partitions:  # terminal
                 nxt_tensor, nxt_window = None, None
             else:
                 # the next step's input, and the one copy the replay buffer holds
-                nxt_tensor = state_tensor(nxt)
+                nxt_tensor = state_tensor(nxt, env.lists)
                 nxt_slice = action_slice(nxt, env.lists)
                 nxt_window = (nxt_slice.start, nxt_slice.stop)
             replay.append(Transition(tensor, action, reward, nxt_tensor, nxt_window))
             state, tensor = nxt, nxt_tensor
 
-        final = env.reward(state.selections)
+        final = env.reward(state)
         if final > best_reward:
-            best_reward, best_selections = final, state.selections
+            best_reward, best_selections = final, state
 
         batch_size = min(cfg.batch_size, len(replay))
         picks = explore_rng.choice(len(replay), size=batch_size, replace=False)

@@ -103,7 +103,7 @@ CONFIG_KEYS = frozenset({
     "model.arch", "model.qubits", "model.layers", "model.params", "model.measure_qubit",
     "device", "data.csv", "data.schema", "data.synthetic.rows", "data.synthetic.flip",
     "s_blk", "eps_syn", "k_max", "max_candidates", "schemes",
-    "eval.split", "eval.r_twirls", "eval.fill", "seed", "output_dir",
+    "eval.split", "eval.r_twirls", "seed", "output_dir",
     *_TRAIN_KEYS, *_OPT_KEYS,
 })
 
@@ -140,7 +140,6 @@ class ExperimentConfig:
     train: TrainConfig
     eval_split: str
     r_twirls: int
-    fill: str
     seed: int
     output_dir: str
     config_hash: str
@@ -243,7 +242,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
             train=train,
             eval_split=get("eval.split", _ENV_DEFAULTS["split"]),
             r_twirls=int(get("eval.r_twirls", _ENV_DEFAULTS["r_twirls"])),
-            fill=get("eval.fill", _ENV_DEFAULTS["fill"]),
             seed=int(get("seed", "0")),
             output_dir=output_dir,
             config_hash=_hash_config(kv),
@@ -254,8 +252,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"bad config value: {exc}") from exc
     if cfg.eval_split not in ("train", "test"):
         raise ConfigError(f"eval.split must be train or test, got {cfg.eval_split!r}")
-    if cfg.fill not in ("original", "identity"):
-        raise ConfigError(f"eval.fill must be original or identity, got {cfg.fill!r}")
     if cfg.r_twirls < 1:
         raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
     if not 0.0 < cfg.eps_syn <= 1.0:  # a unitary distance is at most 1; NaN fails too
@@ -456,6 +452,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
     device = stage("load-device", lambda: load_device_ref(cfg.device_ref))
     check_routable(model, device)
     data = stage("load-data", lambda: load_data(cfg))
+    if not data.split(cfg.eval_split):
+        raise ConfigError(f"eval.split {cfg.eval_split!r} has no rows")
     parts, lists = stage("synthesize", lambda: synthesize(cfg, model))
 
     reports = []
@@ -465,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
         weights = cfg.scheme_weights(scheme)
         env = DeploymentEnv(
             parts, lists, model, device, data, weights,
-            split=cfg.eval_split, fill=cfg.fill, r_twirls=cfg.r_twirls, seed=cfg.seed,
+            split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed,
             evaluations=evaluations,
         )
         if scheme == "quest":

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from qfairdeploy import agent
 from qfairdeploy.agent import (
-    AgentState,
     DeploymentEnv,
     RewardWeights,
     Transition,
@@ -37,32 +37,6 @@ def load_selections(path: Path) -> tuple[int, ...]:
     return tuple(c for _, c in pairs)
 
 
-class TestStateTensor:
-    def test_identity(self):
-        s = AgentState((), np.eye(2, dtype=complex))
-        t = state_tensor(s)
-        np.testing.assert_array_equal(t[..., 0], np.eye(2))
-        np.testing.assert_array_equal(t[..., 1], np.zeros((2, 2)))
-
-    def test_phase_gate(self):
-        s = AgentState((), np.diag([1.0, 1j]))
-        t = state_tensor(s)
-        np.testing.assert_array_equal(t[..., 0], np.diag([1.0, 0.0]))
-        np.testing.assert_array_equal(t[..., 1], np.diag([0.0, 1.0]))
-
-    def test_shape_contract(self, rng):
-        from conftest import random_unitary
-        u = random_unitary(rng, 8)
-        t = state_tensor(AgentState((), u))
-        assert t.shape == (8, 8, 2)
-
-    def test_reconstruction_is_exact(self, rng):
-        from conftest import random_unitary
-        u = random_unitary(rng, 4)
-        t = state_tensor(AgentState((), u))
-        np.testing.assert_array_equal(t[..., 0] + 1j * t[..., 1], u)
-
-
 class FakeList:
     def __init__(self, n):
         self.n = n
@@ -71,11 +45,44 @@ class FakeList:
         return self.n
 
 
+def _prefixes(lists):
+    """Every state of the search over `lists`, blank and complete included."""
+    return [sel for k in range(len(lists) + 1)
+            for sel in itertools.product(*(range(len(cl)) for cl in lists[:k]))]
+
+
+class TestStateTensor:
+    LISTS = [FakeList(3), FakeList(4), FakeList(2)]
+
+    def test_width_is_total_candidates_plus_one(self, toy):
+        assert state_tensor((), self.LISTS).shape == (10,)
+        assert state_tensor((0,) * 12, [FakeList(4)] * 12).shape == (49,)
+        # the 2-qubit toy: 3 + 3 candidates, not the 2 * 4**2 entries of a unitary
+        assert state_tensor((), toy.lists).shape == (7,)
+
+    def test_ones_at_chosen_global_indices(self):
+        for sel in _prefixes(self.LISTS):
+            chosen = [action_slice(sel[:p], self.LISTS)[c] for p, c in enumerate(sel)]
+            t = state_tensor(sel, self.LISTS)
+            assert np.flatnonzero(t).tolist() == chosen + [9]
+            assert set(t[t != 0.0]) == {1.0}
+
+    def test_blank_state_sets_only_the_constant(self):
+        expected = np.zeros(10)
+        expected[-1] = 1.0
+        np.testing.assert_array_equal(state_tensor((), self.LISTS), expected)
+
+    def test_distinct_states_give_distinct_inputs(self):
+        states = _prefixes(self.LISTS)
+        assert len(states) == 1 + 3 + 12 + 24
+        assert len({state_tensor(sel, self.LISTS).tobytes() for sel in states}) == len(states)
+
+
 class TestActionSlice:
     LISTS = [FakeList(3), FakeList(4), FakeList(2)]
 
     def _state(self, k):
-        return AgentState(tuple(0 for _ in range(k)), np.eye(2))
+        return tuple(0 for _ in range(k))
 
     def test_first_partition(self):
         assert action_slice(self._state(0), self.LISTS) == range(0, 3)
@@ -215,13 +222,13 @@ class TestTdOps:
 def _toy_transitions(rng, net_in=8, n_actions=3, count=6):
     out = []
     for i in range(count):
-        t = rng.normal(size=(2, 2, 2))
+        t = rng.normal(size=net_in)
         terminal = i % 2 == 0
         out.append(Transition(
             state_tensor=t,
             action=int(rng.integers(0, n_actions)),
             reward=float(rng.uniform()),
-            next_state_tensor=None if terminal else rng.normal(size=(2, 2, 2)),
+            next_state_tensor=None if terminal else rng.normal(size=net_in),
             next_slice=None if terminal else (0, n_actions),
         ))
     return out
@@ -284,13 +291,14 @@ class TestDeploymentEnv:
     def test_reward_memoized(self, toy):
         env = toy.env
         a = env.reward((0, 1))
-        assert (0, 1) in env._cache
+        assert (0, 1) in env.evaluations
         assert env.reward((0, 1)) == a
 
     def test_step_validates_action_window(self, toy):
-        blank = toy.env.blank_state()
         with pytest.raises(ValueError):
-            toy.env.step(blank, 5)  # belongs to partition 1's slice
+            toy.env.step((), 5)  # belongs to partition 1's slice
+        assert toy.env.step((), 2) == (2,)
+        assert toy.env.step((2,), 3) == (2, 0)
 
 
 class TestRunSearch:
@@ -300,9 +308,9 @@ class TestRunSearch:
         inst = date22_instance()
         calls = []
 
-        def counting(state):
-            calls.append(state.selections)
-            return state_tensor(state)
+        def counting(selections, lists):
+            calls.append(selections)
+            return state_tensor(selections, lists)
 
         monkeypatch.setattr(agent, "state_tensor", counting)
         episodes = 6
@@ -314,7 +322,7 @@ class TestRunSearch:
     def test_single_partition_precomputed_rewards(self, toy):
         env = DeploymentEnv(toy.partitions[:1], toy.lists[:1], toy.model, toy.device,
                             toy.data, RewardWeights(0.5, 0.5), seed=3)
-        env._cache = {(0,): 0.2, (1,): 0.9, (2,): 0.5}
+        env.evaluations = {(0,): (0.4, 0.0), (1,): (0.9, 0.9), (2,): (0.5, 0.5)}  # rewards 0.2, 0.9, 0.5
         res = run_search(env, toy_train_config(iterations=50, seed=1))
         assert res.best_selections == (1,)
         assert res.best_reward == pytest.approx(0.9)
@@ -323,7 +331,7 @@ class TestRunSearch:
         # learned Q at the blank state approaches the best terminal reward
         env = DeploymentEnv(toy.partitions[:1], toy.lists[:1], toy.model, toy.device,
                             toy.data, RewardWeights(0.5, 0.5), seed=3)
-        env._cache = {(0,): 0.2, (1,): 0.9, (2,): 0.5}
+        env.evaluations = {(0,): (0.4, 0.0), (1,): (0.9, 0.9), (2,): (0.5, 0.5)}  # rewards 0.2, 0.9, 0.5
         res = run_search(env, toy_train_config(iterations=200, seed=2))
         assert res.best_selections == (1,)
         assert abs(res.episode_max_q[-1] - 0.9) < 0.05

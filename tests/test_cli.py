@@ -99,6 +99,14 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     "opt.starts 0",
     "opt.starts -2",
     "opt.iterations -3",
+    "train.iterations 0",
+    "train.batch_size 0",
+    "train.replay_capacity 0",
+    "train.target_sync_period 0",
+    "train.hidden 0",
+    "train.learning_rate nan",
+    "train.learning_rate -1",
+    "data.synthetic.rows 1",  # an empty test split
 ])
 def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys, line):
     toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins
