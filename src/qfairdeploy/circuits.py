@@ -130,21 +130,33 @@ def cnot_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if g.kind in TWO_QUBIT_KINDS)
 
 
-def layers(circuit: Circuit) -> list[list[int]]:
-    """Greedy as-soon-as-possible layering; returns gate indices per layer.
+def asap(steps, num_qubits: int) -> list[int]:
+    """Greedy as-soon-as-possible layering of gates given by their qubit
+    tuples: each gate's layer, the earliest in which none of its qubits is
+    already busy. The package's one layering; `layers` groups it and the
+    noise model reads it."""
+    frontier = [0] * num_qubits  # first free layer per qubit
+    out = []
+    for qubits in steps:  # every gate kind acts on one qubit or two (GATE_ARITY)
+        if len(qubits) == 1:
+            (a,) = qubits
+            layer = frontier[a]
+            frontier[a] = layer + 1
+        else:
+            a, b = qubits
+            layer = frontier[a] if frontier[a] > frontier[b] else frontier[b]
+            frontier[a] = frontier[b] = layer + 1
+        out.append(layer)
+    return out
 
-    Each gate is placed in the earliest layer in which none of its qubits is
-    already busy.
-    """
-    frontier = [0] * circuit.num_qubits  # first free layer per qubit
+
+def layers(circuit: Circuit) -> list[list[int]]:
+    """Gate indices per `asap` layer."""
     out: list[list[int]] = []
-    for i, g in enumerate(circuit.gates):
-        layer = max(frontier[q] for q in g.qubits)
+    for i, layer in enumerate(asap([g.qubits for g in circuit.gates], circuit.num_qubits)):
         if layer == len(out):
             out.append([])
         out[layer].append(i)
-        for q in g.qubits:
-            frontier[q] = layer + 1
     return out
 
 

@@ -1,8 +1,12 @@
 """Simulated NISQ device descriptions and noisy execution.
 
-Noise model: every layer of concurrent 2-qubit gates applies one global
-depolarizing channel whose rate is the sum of the per-edge error rates plus a
-crosstalk term for each pair of adjacent concurrent edges. Readout error is a
+Noise model: every ASAP layer (`circuits.asap`) that holds 2-qubit gates
+applies one global depolarizing channel whose rate is the sum of its edges'
+error rates plus a crosstalk term for each pair of its edges. Concurrent
+gates never share a qubit, so only an explicit `crosstalk` pair can add to
+a layer; the `crosstalk_default` of edges sharing a qubit never does. Every
+rate goes through `_layer_rates`, and every run keeps `survival` of the
+noiseless distribution. Readout error is a
 per-qubit confusion matrix applied to the measured distribution; it is kept
 out of the gate-error model and undone by `mitigate_readout`.
 
@@ -18,6 +22,7 @@ needs no density matrix: the measured marginal on k qubits is exactly
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -29,9 +34,9 @@ from .circuits import (
     Gate,
     GateKind,
     TWO_QUBIT_KINDS,
+    asap,
     concat,
     inverse,
-    layers,
 )
 from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
 from .quantum import _CNOT, measure
@@ -138,81 +143,80 @@ _COMPENSATION = _compensation_table()
 _TWIRLS = [[(bc, bt, *_COMPENSATION[(bc, bt)]) for bt in _PAULI_KINDS] for bc in _PAULI_KINDS]
 
 
-def _twirl_draws(gates, rng: np.random.Generator) -> list[tuple]:
-    """For each CNOT among `gates`, in order, the uniformly random Paulis on
-    its control and target and the compensating pair (None = identity).
-    One draw of two indices per CNOT: randomized compiling and exact-mode
-    `estimate_p` both twirl through here."""
+def _twirled(gates, rng: np.random.Generator):
+    """Yield (before, gate, after) for each of `gates`: a CNOT gets uniformly
+    random Paulis before it and the compensating ones after it, as (kind,
+    qubit) pairs with identities left out; any other gate gets none. One
+    draw of two indices per CNOT: randomized compiling and exact-mode
+    `estimate_p` both twirl here."""
     num_cnots = sum(g.kind is GateKind.CNOT for g in gates)
-    return [_TWIRLS[i][j] for i, j in rng.integers(0, 4, size=(num_cnots, 2)).tolist()]
+    draws = iter(rng.integers(0, 4, size=(num_cnots, 2)).tolist())
+    for g in gates:
+        if g.kind is not GateKind.CNOT:
+            yield (), g, ()
+            continue
+        i, j = next(draws)
+        bc, bt, rc, rt = _TWIRLS[i][j]
+        c, t = g.qubits
+        yield ([(k, q) for k, q in ((bc, c), (bt, t)) if k is not None], g,
+               [(k, q) for k, q in ((rc, c), (rt, t)) if k is not None])
 
 
 def randomized_compile(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """Twirl each CNOT with uniformly random Paulis before it and the
     compensating Paulis after it; the total unitary is unchanged up to a
     global phase. Non-CNOT gates pass through untouched."""
-    draws = iter(_twirl_draws(circuit.gates, rng))
     gates: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind is not GateKind.CNOT:
-            gates.append(g)
-            continue
-        bc, bt, rc, rt = next(draws)
-        c, t = g.qubits
-        gates += [Gate(kind, (q,)) for kind, q in ((bc, c), (bt, t)) if kind is not None]
+    for before, g, after in _twirled(circuit.gates, rng):
+        gates += [Gate(kind, (q,)) for kind, q in before]
         gates.append(g)
-        gates += [Gate(kind, (q,)) for kind, q in ((rc, c), (rt, t)) if kind is not None]
+        gates += [Gate(kind, (q,)) for kind, q in after]
     return Circuit(circuit.num_qubits, tuple(gates))
 
 
 # --- error accumulation --------------------------------------------------------
 
 
-def _unrouted(g: Gate, device: DeviceModel) -> UnroutedGateError:
-    return UnroutedGateError(f"{g.kind.value} on {g.qubits} is not a coupling edge of {device.name}")
+def _check_routed(gates, device: DeviceModel) -> None:
+    """UnroutedGateError at the first 2-qubit gate off the coupling map."""
+    for g in gates:
+        if len(g.qubits) == 2 and _edge(*g.qubits) not in device.cnot_error:
+            raise UnroutedGateError(f"{g.kind.value} on {g.qubits} is not a coupling edge of {device.name}")
 
 
-def _edges_rate(edges, device: DeviceModel) -> float:
-    """Rate of one layer of concurrent routed edges, in gate order: the
-    per-edge errors, then the crosstalk of each pair, clamped to [0, 1]."""
-    rate = sum(device.cnot_error[e] for e in edges)
-    for e1, e2 in itertools.combinations(edges, 2):
-        rate += device.crosstalk_rate(e1, e2)
-    return min(max(rate, 0.0), 1.0)
-
-
-def layer_error_rate(layer_gates: list[Gate], device: DeviceModel) -> float:
-    """Depolarizing rate of one concurrent 2-qubit layer: per-edge errors plus
-    pairwise crosstalk between adjacent concurrent edges, clamped to [0, 1]."""
-    edges = []
-    for g in layer_gates:
-        if g.kind not in TWO_QUBIT_KINDS:
-            continue
-        e = _edge(*g.qubits)
-        if e not in device.cnot_error:
-            raise _unrouted(g, device)
-        edges.append(e)
-    return _edges_rate(edges, device)
-
-
-def _two_qubit_layers(circuit: Circuit) -> list[list[Gate]]:
-    out = []
-    for layer in layers(circuit):
-        gates = [circuit.gates[i] for i in layer if len(circuit.gates[i].qubits) == 2]
-        out.append(gates)
-    return out
+def _layer_rates(steps, num_qubits: int, device: DeviceModel, memo: dict) -> NoiseTrace:
+    """The noise of routed gates given by their qubit tuples: each `asap`
+    layer that holds a 2-qubit gate applies the errors of its edges, in gate
+    order, plus the crosstalk of each pair of them, clamped to [0, 1]; the
+    layer rates compose as (1 - p_total) = prod(1 - p_layer). `memo` keeps
+    each rate by the layer's 2-qubit tuples."""
+    by_layer: dict[int, list[tuple[int, int]]] = {}
+    for qubits, layer in zip(steps, asap(steps, num_qubits)):
+        if len(qubits) == 2:
+            by_layer.setdefault(layer, []).append(qubits)
+    rates = []
+    for layer in sorted(by_layer):
+        key = tuple(by_layer[layer])
+        if key not in memo:
+            edges = [_edge(*qubits) for qubits in key]
+            rate = sum(device.cnot_error[e] for e in edges)
+            for e1, e2 in itertools.combinations(edges, 2):
+                rate += device.crosstalk_rate(e1, e2)
+            memo[key] = min(max(rate, 0.0), 1.0)
+        rates.append(memo[key])
+    return NoiseTrace(tuple(rates), 1.0 - math.prod(1.0 - r for r in rates))
 
 
 def accumulate_p(circuit: Circuit, device: DeviceModel) -> NoiseTrace:
-    """Per-layer rates composed as (1 - p_total) = prod(1 - p_layer)."""
-    rates = []
-    for gates in _two_qubit_layers(circuit):
-        if gates:
-            rates.append(layer_error_rate(gates, device))
-    survive = 1.0
-    for r in rates:
-        survive *= 1.0 - r
-    return NoiseTrace(tuple(rates), 1.0 - survive)
+    """The circuit's 2-qubit layer rates and their composition."""
+    _check_routed(circuit.gates, device)
+    return _layer_rates([g.qubits for g in circuit.gates], circuit.num_qubits, device, {})
+
+
+def survival(p_total: float, device: DeviceModel) -> float:
+    """1 - P = (1 - p_total)(1 - uniform_depolarizing): the weight a run
+    keeps on the noiseless distribution; P spreads evenly over the outcomes."""
+    return (1.0 - p_total) * (1.0 - device.uniform_depolarizing)
 
 
 # --- noisy simulation ------------------------------------------------------------
@@ -226,15 +230,14 @@ def simulate_noisy(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Outcome distribution over `qubits` (default: all), starting from
-    |0...0>: (1 - P) |U psi|^2 + P / 2^k with
-    1 - P = prod(1 - p_layer) * (1 - uniform_depolarizing), then readout
-    confusion over the measured qubits.
+    |0...0>: (1 - P) |U psi|^2 + P / 2^k with 1 - P the circuit's `survival`,
+    then readout confusion over the measured qubits.
 
     Exact mode (shots=None) is deterministic; shot mode samples with the
     supplied rng. This is the package's one shot sampler.
     """
     qubits = tuple(range(circuit.num_qubits)) if qubits is None else tuple(qubits)
-    survive = (1.0 - accumulate_p(circuit, device).p_total) * (1.0 - device.uniform_depolarizing)
+    survive = survival(accumulate_p(circuit, device).p_total, device)
     probs = survive * measure(quantum.simulate_state(circuit), qubits) + (1.0 - survive) / 2 ** len(qubits)
     probs = _apply_confusion(probs, device, qubits)
     if shots is None:
@@ -291,78 +294,56 @@ def estimate_p(
     each twirl's exact inverse, so the ideal output is |0...0>. A mirror run
     with survival 1 - P keeps |0...0> with probability P0 = (1 - P) + P / 2^n,
     and p = (1 - P0) / (1 - 2^-n) gives back P. shots=None returns the mean
-    P over the twirls in closed form, 1 - P = (1 - p_total)(1 - u), since
-    readout mitigation is exact there; it layers each mirror from per-qubit
-    frontiers and builds no circuit. Shot mode samples each mirror,
-    mitigates readout and converts the mean sampled P0. Both modes draw the
-    twirl Paulis from the same `spawn(seed, "twirl", t)` streams, and in both
-    the Paulis shift the ASAP layering, and so the crosstalk.
+    P over the twirls in closed form, 1 - P = `survival`, since readout
+    mitigation is exact there; it layers each mirror from qubit tuples and
+    builds no circuit. Shot mode samples each mirror, mitigates readout and
+    converts the mean sampled P0. Both modes draw the twirl Paulis from the
+    same `spawn(seed, "twirl", t)` streams, and in both the Paulis shift the
+    ASAP layering, and so the crosstalk.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
     est = estimation_circuit(circuit)
     if shots is None:
-        for g in est.gates:
-            if _edge(*g.qubits) not in device.cnot_error:
-                raise _unrouted(g, device)
-        keep = 1.0 - device.uniform_depolarizing
-        rates: dict[tuple, float] = {}
-        p_hat = sum(1.0 - (1.0 - _mirror_p_total(est, spawn(seed, "twirl", t), device, rates)) * keep
+        _check_routed(est.gates, device)
+        memo: dict[tuple, float] = {}
+        p_hat = sum(1.0 - survival(_mirror_p_total(est, spawn(seed, "twirl", t), device, memo), device)
                     for t in range(r_twirls)) / r_twirls
         return min(max(p_hat, 0.0), 1.0)
     n = est.num_qubits
     all_qubits = tuple(range(n))
-    survival = 0.0
+    p0 = 0.0
     for t in range(r_twirls):
         twirled = randomized_compile(est, spawn(seed, "twirl", t))
         dist = simulate_noisy(concat(twirled, inverse(twirled)), device, qubits=all_qubits,
                               shots=shots, rng=spawn(seed, "shots", t))
         if device.readout_confusion:
             dist = mitigate_readout(dist, device, all_qubits)
-        survival += float(dist[0])
-    p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-n))
+        p0 += float(dist[0])
+    p_hat = (1.0 - p0 / r_twirls) / (1.0 - 2.0 ** (-n))
     return min(max(p_hat, 0.0), 1.0)
 
 
-def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel,
-                    rates: dict[tuple, float]) -> float:
+def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel, memo: dict) -> float:
     """`accumulate_p(concat(twirled, inverse(twirled)), device).p_total` of
-    one twirl of a routed 2-qubit-only circuit, built from qubit tuples
-    instead of gates. The inverse runs the same qubits backwards, and ASAP
-    layering only needs each qubit's first free layer, so the Paulis shift
-    the 2-qubit gates as they do in the circuit. `rates` memoizes
-    `_edges_rate` per layer's edge tuple across the twirls of one call."""
-    draws = iter(_twirl_draws(est.gates, rng))
+    one twirl of a routed 2-qubit-only circuit, from qubit tuples instead of
+    gates: the inverse runs the same qubits backwards. `memo` is
+    `_layer_rates`' cache, shared by the twirls of one call."""
     steps: list[tuple] = []  # the qubits of each gate of the twirled circuit
-    for g in est.gates:
-        if g.kind is not GateKind.CNOT:
-            steps.append(g.qubits)
-            continue
-        bc, bt, rc, rt = next(draws)
-        c, t = g.qubits
-        steps += [(q,) for kind, q in ((bc, c), (bt, t)) if kind is not None]
+    for before, g, after in _twirled(est.gates, rng):
+        for _, q in before:
+            steps.append((q,))
         steps.append(g.qubits)
-        steps += [(q,) for kind, q in ((rc, c), (rt, t)) if kind is not None]
-    frontier = [0] * est.num_qubits
-    by_layer: dict[int, list[tuple[int, int]]] = {}
-    for qubits in steps + steps[::-1]:
-        if len(qubits) == 1:
-            frontier[qubits[0]] += 1
-            continue
-        a, b = qubits
-        layer = max(frontier[a], frontier[b])
-        frontier[a] = frontier[b] = layer + 1
-        by_layer.setdefault(layer, []).append(_edge(a, b))
-    survive = 1.0
-    for layer in sorted(by_layer):
-        edges = tuple(by_layer[layer])
-        if edges not in rates:
-            rates[edges] = _edges_rate(edges, device)
-        survive *= 1.0 - rates[edges]
-    return 1.0 - survive
+        for _, q in after:
+            steps.append((q,))
+    return _layer_rates(steps + steps[::-1], est.num_qubits, device, memo).p_total
 
 
 # --- device files ------------------------------------------------------------------
+
+# key -> number of values that follow it on its line
+_DEVICE_KEY_VALUES = {"name": 1, "qubits": 1, "uniform_depolarizing": 1, "crosstalk_default": 1,
+                      "edge": 3, "crosstalk": 5, "readout": 3}
 
 
 def parse_device(text: str) -> DeviceModel:
@@ -377,6 +358,10 @@ def parse_device(text: str) -> DeviceModel:
             continue
         fields = line.split()
         key = fields[0]
+        if key not in _DEVICE_KEY_VALUES:
+            raise ValueError(f"unknown device file key: {key}")
+        if len(fields) != 1 + _DEVICE_KEY_VALUES[key]:
+            raise ValueError(f"device file line {line!r}: {key} takes {_DEVICE_KEY_VALUES[key]} values")
         if key == "name":
             name = fields[1]
         elif key == "qubits":
@@ -394,8 +379,6 @@ def parse_device(text: str) -> DeviceModel:
         elif key == "readout":
             q, p01, p10 = int(fields[1]), float(fields[2]), float(fields[3])
             confusion[q] = np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
-        else:
-            raise ValueError(f"unknown device file key: {key}")
     if not name or num_qubits < 1:
         raise ValueError("device file needs 'name' and 'qubits'")
     return DeviceModel(

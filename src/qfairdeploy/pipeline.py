@@ -260,13 +260,15 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"k_max must be >= 0, got {cfg.k_max}")
     if cfg.max_candidates < 1:
         raise ConfigError(f"max_candidates must be >= 1, got {cfg.max_candidates}")
+    if cfg.synthetic_rows < 1:
+        raise ConfigError(f"data.synthetic.rows must be >= 1, got {cfg.synthetic_rows}")
+    if not 0.0 <= cfg.synthetic_flip <= 1.0:  # NaN fails too
+        raise ConfigError(f"data.synthetic.flip must lie in [0, 1], got {cfg.synthetic_flip}")
     for scheme in cfg.schemes:
         if scheme not in ("quest", "random") and not scheme.startswith("rl"):
             raise ConfigError(f"unknown scheme {scheme!r}")
         cfg.scheme_weights(scheme)  # raises when an rl scheme has no weights
-    missing = [p for p in (cfg.params_path,) if not Path(p).exists()]
-    if cfg.data_csv and not Path(cfg.data_csv).exists():
-        missing.append(cfg.data_csv)
+    missing = [p for p in (cfg.params_path, cfg.data_csv, cfg.data_schema) if p and not Path(p).exists()]
     if missing:
         raise ConfigError(f"referenced files do not exist: {missing}")
     return cfg
@@ -276,8 +278,11 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
 
 
 def load_model(cfg: ExperimentConfig) -> QnnModel:
-    params = load_params(cfg.params_path)
-    return build_qnn(cfg.arch, cfg.num_qubits, cfg.layers, params, cfg.measure_qubit)
+    try:
+        params = load_params(cfg.params_path)
+        return build_qnn(cfg.arch, cfg.num_qubits, cfg.layers, params, cfg.measure_qubit)
+    except ValueError as exc:
+        raise ConfigError(f"bad model: {exc}") from exc
 
 
 def load_device_ref(ref: str) -> DeviceModel:
@@ -287,7 +292,7 @@ def load_device_ref(ref: str) -> DeviceModel:
         raise ConfigError(f"device {ref!r} is neither bundled nor a file")
     try:
         return load_device(ref)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad device file {ref}: {exc}") from exc
 
 
@@ -301,11 +306,14 @@ def check_routable(model: QnnModel, device: DeviceModel) -> None:
 
 
 def load_data(cfg: ExperimentConfig) -> Dataset:
-    if cfg.data_csv:
-        if not cfg.data_schema:
-            raise ConfigError("data.csv needs data.schema")
-        return load_dataset(cfg.data_csv, load_schema(cfg.data_schema), cfg.seed)
-    return synthetic_dataset(cfg.synthetic_rows, cfg.num_qubits, cfg.seed, cfg.synthetic_flip)
+    if cfg.data_csv and not cfg.data_schema:
+        raise ConfigError("data.csv needs data.schema")
+    try:
+        if cfg.data_csv:
+            return load_dataset(cfg.data_csv, load_schema(cfg.data_schema), cfg.seed)
+        return synthetic_dataset(cfg.synthetic_rows, cfg.num_qubits, cfg.seed, cfg.synthetic_flip)
+    except ValueError as exc:
+        raise ConfigError(f"bad data: {exc}") from exc
 
 
 # --- synthesis with an on-disk cache --------------------------------------------

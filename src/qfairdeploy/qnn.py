@@ -12,7 +12,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
 # simulate_noisy, simulate_state: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
-from .device import DeviceModel, accumulate_p, simulate_noisy
+from .device import DeviceModel, accumulate_p, simulate_noisy, survival
 from .quantum import evolve, simulate_state
 from .seeding import spawn
 
@@ -266,7 +266,7 @@ def build_qnn(
 def output_distribution(model: QnnModel, features, device: DeviceModel | None) -> np.ndarray:
     """The measured qubit's distribution for each row of a rows x d feature
     matrix, shape (rows, 2), from one batched evolution. On a device each
-    row becomes (1 - P) d + P / 2 with 1 - P = (1 - p_total)(1 - u): one P
+    row becomes (1 - P) d + P / 2 with 1 - P the ansatz's `survival`: one P
     serves every row, as the encoded circuits differ only in their angles,
     and exact readout mitigation cancels the confusion, so it is left out.
     p_total is the ansatz's own: the encoder's RYs fill layer 0 on every
@@ -279,8 +279,7 @@ def output_distribution(model: QnnModel, features, device: DeviceModel | None) -
     marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(psi)).sum(axis=(0, 2))
     dist = (marginal / marginal.sum(axis=0)).T
     if device is not None:
-        survive = ((1.0 - accumulate_p(model.circuit, device).p_total)
-                   * (1.0 - device.uniform_depolarizing))
+        survive = survival(accumulate_p(model.circuit, device).p_total, device)
         dist = survive * dist + (1.0 - survive) / 2
     return dist
 

@@ -5,15 +5,53 @@ The program evaluates noisy circuits in closed form, (1 - P) |U psi|^2 + P/2^k
 replaces: evolve rho gate by gate, depolarize after every 2-qubit layer and
 once more for the device's uniform channel, read the diagonal, then apply the
 Kronecker readout-confusion kernel. Gates act through their full embedded
-unitary, so nothing here shares the statevector's tensor contraction.
+unitary, so nothing here shares the statevector's tensor contraction, and the
+layers and their rates come from the oracle's own rules below, not from the
+program's `asap` and `_layer_rates`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from qfairdeploy.circuits import Circuit, Gate, layers
-from qfairdeploy.device import DeviceModel, layer_error_rate
+from qfairdeploy.circuits import Circuit, Gate
+from qfairdeploy.device import DeviceModel
 from qfairdeploy.quantum import circuit_unitary, zero_state
+
+
+def layers(circuit: Circuit) -> list[list[Gate]]:
+    """Greedy as-soon-as-possible layering: each gate goes to the earliest
+    layer in which none of its qubits is already busy."""
+    frontier = [0] * circuit.num_qubits  # first free layer per qubit
+    out: list[list[Gate]] = []
+    for g in circuit.gates:
+        layer = max(frontier[q] for q in g.qubits)
+        if layer == len(out):
+            out.append([])
+        out[layer].append(g)
+        for q in g.qubits:
+            frontier[q] = layer + 1
+    return out
+
+
+def layer_error_rate(two_qubit_gates: list[Gate], device: DeviceModel) -> float:
+    """Depolarizing rate of one layer's routed 2-qubit gates, in gate order:
+    the per-edge errors plus the crosstalk of each pair, clamped to [0, 1]."""
+    edges = [tuple(sorted(g.qubits)) for g in two_qubit_gates]
+    rate = sum(device.cnot_error[e] for e in edges)
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1:]:
+            rate += device.crosstalk_rate(e1, e2)
+    return min(max(rate, 0.0), 1.0)
+
+
+def layer_rates(circuit: Circuit, device: DeviceModel) -> tuple[float, ...]:
+    """The rate of each layer that holds a 2-qubit gate, in layer order."""
+    rates = []
+    for gates in layers(circuit):
+        two_q = [g for g in gates if len(g.qubits) == 2]
+        if two_q:
+            rates.append(layer_error_rate(two_q, device))
+    return tuple(rates)
 
 
 def pure_density(state: np.ndarray) -> np.ndarray:
@@ -68,8 +106,7 @@ def simulate_noisy_density(circuit: Circuit, device: DeviceModel, qubits) -> np.
     """Exact noisy outcome distribution over `qubits`, built the long way."""
     n = circuit.num_qubits
     rho = pure_density(zero_state(n))
-    for layer in layers(circuit):
-        gates = [circuit.gates[i] for i in layer]
+    for gates in layers(circuit):
         for g in gates:
             rho = evolve_density(rho, g, n)
         two_q = [g for g in gates if len(g.qubits) == 2]

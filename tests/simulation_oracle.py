@@ -4,7 +4,7 @@
 evolves all rows as one batch and applies the noise as the map
 d -> (1 - P) d + P / 2, with P from the ansatz alone;
 `device.estimate_p(shots=None)` turns each twirled mirror's layer rates into
-its survival directly, layering the mirror from per-qubit frontiers. This
+its survival directly, layering the mirror's qubit tuples with no `Circuit`. This
 module keeps the paths they replace: one noisy simulation of the encoded
 circuit per input row, readout confusion applied and mitigated; one noisy
 simulation per mirror circuit with the all-zeros survival converted into a

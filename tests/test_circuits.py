@@ -9,6 +9,7 @@ from qfairdeploy.circuits import (
     Circuit,
     Gate,
     GateKind,
+    asap,
     circuit_from_text,
     circuit_to_text,
     cnot_count,
@@ -80,6 +81,20 @@ class TestDepth:
             drop = int(rng.integers(0, len(c.gates)))
             smaller = Circuit(4, c.gates[:drop] + c.gates[drop + 1:])
             assert depth(smaller) <= d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuits(max_gates=30))
+def test_asap_places_each_gate_just_past_its_qubits(c):
+    steps = [g.qubits for g in c.gates]
+    found = asap(steps, c.num_qubits)
+    for i, qubits in enumerate(steps):
+        earlier = [found[j] for j in range(i) if set(steps[j]) & set(qubits)]
+        assert found[i] == (max(earlier) + 1 if earlier else 0)
+        # no two gates in one layer share a qubit
+        assert not any(found[j] == found[i] for j in range(i) if set(steps[j]) & set(qubits))
+    assert depth(c) == (max(found) + 1 if found else 0)
+    assert layers(c) == [[i for i, layer in enumerate(found) if layer == d] for d in range(depth(c))]
 
 
 def test_concat_and_append():

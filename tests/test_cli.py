@@ -78,6 +78,18 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     assert (alt / "cache").exists()
 
 
+# values the model or the data builder refuses, which every verb must report as config errors
+_BAD_MODEL_AND_DATA = [
+    "model.measure_qubit 7",
+    "model.layers 0",
+    "model.qubits 5",
+    "data.synthetic.rows 0",
+    "data.synthetic.rows -3",
+    "data.synthetic.flip 2",
+    "data.schema missing.schema",
+]
+
+
 @pytest.mark.parametrize("line", [
     "train.gamma 1.5",
     "train.iterations abc",
@@ -107,12 +119,23 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     "train.learning_rate nan",
     "train.learning_rate -1",
     "data.synthetic.rows 1",  # an empty test split
+    *_BAD_MODEL_AND_DATA,
 ])
 def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys, line):
     toy_config.write_text(toy_config.read_text() + line + "\n")  # the last value of a key wins
     assert main(["evaluate", str(toy_config)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()
+
+
+@pytest.mark.parametrize("line", _BAD_MODEL_AND_DATA)
+@pytest.mark.parametrize("verb", ["synthesize", "evaluate", "fairness-scan"])
+def test_bad_model_or_data_exits_2_from_every_verb(toy_config, tmp_path, capsys, verb, line):
+    toy_config.write_text(toy_config.read_text() + line + "\n")
+    assert main([verb, str(toy_config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cache").exists()
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -136,6 +159,27 @@ def test_bad_device_file_exits_2(toy_config, tmp_path, capsys, verb):
     device.write_text("name old\nqubits 4\nshots_default 8192\nedge 0 1 0.01\n")  # a key no longer read
     assert main([verb, str(toy_config), "--device", str(device)]) == 2
     assert "unknown device file key: shots_default" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+def test_unreadable_device_file_exits_2(toy_config, tmp_path, capsys, verb):
+    device = tmp_path / "dir.device"
+    device.mkdir()
+    assert main([verb, str(toy_config), "--device", str(device)]) == 2
+    assert "bad device file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["edge 0 1", "crosstalk 0 1 2 3", "readout 3 0.1", "edge 0 1 0.01 7"])
+@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+def test_device_line_with_wrong_field_count_exits_2(toy_config, tmp_path, capsys, verb, line):
+    text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()
+    device = tmp_path / "ring14-cut.device"
+    device.write_text(text + line + "\n")
+    assert main([verb, str(toy_config), "--device", str(device)]) == 2
+    err = capsys.readouterr().err
+    assert "bad device file" in err and repr(line) in err
+    assert not (tmp_path / "out" / "cache").exists()
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def test_singular_readout_confusion_exits_2_before_synthesis(toy_config, tmp_path, capsys):

@@ -16,7 +16,6 @@ from qfairdeploy.device import (
     bundled_device,
     estimate_p,
     estimation_circuit,
-    layer_error_rate,
     load_device,
     mitigate_readout,
     parse_device,
@@ -29,7 +28,7 @@ from qfairdeploy.synthesis import hs_distance
 from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate, random_circuit
-from density_oracle import simulate_noisy_density
+from density_oracle import layer_rates, simulate_noisy_density
 from simulation_oracle import (
     estimate_p_by_mirror_circuits,
     estimate_p_by_simulation,
@@ -75,6 +74,10 @@ class TestRandomizedCompile:
 
 
 class TestLayerErrorRate:
+    """One layer's rate, read from `accumulate_p`. Edges that share a qubit
+    never sit in one ASAP layer, so their crosstalk is checked on
+    `DeviceModel.crosstalk_rate` itself."""
+
     def setup_method(self):
         self.dev = DeviceModel(
             name="t", num_qubits=4,
@@ -83,29 +86,34 @@ class TestLayerErrorRate:
         )
 
     def test_single_cnot(self):
-        rate = layer_error_rate([gate("cnot", 0, 1)], self.dev)
-        assert rate == pytest.approx(0.01)
+        rates = accumulate_p(Circuit(4, (gate("cnot", 0, 1),)), self.dev).layer_rates
+        assert rates == (pytest.approx(0.01),)
 
     def test_adjacent_pair_adds_crosstalk(self):
-        rate = layer_error_rate([gate("cnot", 0, 1), gate("cnot", 1, 2)], self.dev)
-        assert rate == pytest.approx(0.025)
+        assert self.dev.crosstalk_rate((0, 1), (2, 1)) == 0.005
+        # the pair cannot share a layer, so the default never reaches a rate
+        c = Circuit(4, (gate("cnot", 0, 1), gate("cnot", 1, 2)))
+        assert accumulate_p(c, self.dev).layer_rates == (0.01, 0.01)
 
     def test_non_adjacent_pair_no_crosstalk(self):
-        rate = layer_error_rate([gate("cnot", 0, 1), gate("cnot", 2, 3)], self.dev)
-        assert rate == pytest.approx(0.02)
+        c = Circuit(4, (gate("cnot", 0, 1), gate("cnot", 2, 3)))
+        assert accumulate_p(c, self.dev).layer_rates == (pytest.approx(0.02),)
 
     def test_explicit_gamma_overrides_default(self):
         dev = DeviceModel(
-            name="t", num_qubits=3,
-            cnot_error={(0, 1): 0.01, (1, 2): 0.01},
-            crosstalk={frozenset(((0, 1), (1, 2))): 0.1},
+            name="t", num_qubits=4,
+            cnot_error={(0, 1): 0.01, (1, 2): 0.01, (2, 3): 0.01},
+            crosstalk={frozenset(((0, 1), (1, 2))): 0.1, frozenset(((0, 1), (2, 3))): 0.1},
             crosstalk_default=0.005,
         )
-        assert layer_error_rate([gate("cnot", 0, 1), gate("cnot", 1, 2)], dev) == pytest.approx(0.12)
+        assert dev.crosstalk_rate((1, 2), (0, 1)) == 0.1
+        assert dev.crosstalk_rate((1, 2), (2, 3)) == 0.005
+        c = Circuit(4, (gate("cnot", 0, 1), gate("cnot", 3, 2)))
+        assert accumulate_p(c, dev).layer_rates == (pytest.approx(0.12),)
 
     def test_unrouted_gate(self):
         with pytest.raises(UnroutedGateError):
-            layer_error_rate([gate("cnot", 0, 3)], self.dev)
+            accumulate_p(Circuit(4, (gate("cnot", 0, 3),)), self.dev)
 
 
 class TestAccumulateP:
@@ -280,6 +288,13 @@ def _mirror_case(draw):
         else draw(st.floats(0.0, 1.0)),
     )
     return Circuit(n, tuple(gates)), device
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mirror_case())
+def test_layer_rates_equal_density_oracle_rule(case):
+    circuit, device = case
+    assert accumulate_p(circuit, device).layer_rates == layer_rates(circuit, device)
 
 
 class TestMirrorLayering:
