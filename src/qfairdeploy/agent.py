@@ -15,6 +15,7 @@ layers each twirled mirror without building circuits.
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,8 @@ class RewardWeights:
     beta: float   # accuracy weight
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"weights must be finite, got {self.alpha}, {self.beta}")
         if self.alpha < 0.0 or self.beta < 0.0 or (self.alpha == 0.0 and self.beta == 0.0):
             raise ValueError("weights must be non-negative and not both zero")
 
@@ -142,10 +145,6 @@ class ValueNetwork:
     @property
     def input_size(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.weights[-1].shape[1]
 
     def copy_from(self, other: "ValueNetwork") -> None:
         self.weights = [w.copy() for w in other.weights]

@@ -15,14 +15,13 @@ from pathlib import Path
 
 
 class GateKind(Enum):
+    """The gates the package emits: U3/RZZ/CNOT from the ansatz, RY from the
+    encoder, U3/CNOT from synthesis, X/Y/Z from twirling."""
+
     X = "x"
     Y = "y"
     Z = "z"
-    H = "h"
-    RX = "rx"
     RY = "ry"
-    RZ = "rz"
-    U2 = "u2"
     U3 = "u3"
     CNOT = "cnot"
     RZZ = "rzz"
@@ -33,11 +32,7 @@ GATE_ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.X: (1, 0),
     GateKind.Y: (1, 0),
     GateKind.Z: (1, 0),
-    GateKind.H: (1, 0),
-    GateKind.RX: (1, 1),
     GateKind.RY: (1, 1),
-    GateKind.RZ: (1, 1),
-    GateKind.U2: (1, 2),
     GateKind.U3: (1, 3),
     GateKind.CNOT: (2, 0),
     GateKind.RZZ: (2, 1),
@@ -111,17 +106,13 @@ def inverse(circuit: Circuit) -> Circuit:
 
 def gate_inverse(g: Gate) -> Gate:
     k = g.kind
-    if k in (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.CNOT):
+    if k in (GateKind.X, GateKind.Y, GateKind.Z, GateKind.CNOT):
         return g
-    if k in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.RZZ):
+    if k in (GateKind.RY, GateKind.RZZ):
         return Gate(k, g.qubits, (-g.params[0],))
     if k is GateKind.U3:
         theta, phi, lam = g.params
         return Gate(k, g.qubits, (-theta, -lam, -phi))
-    if k is GateKind.U2:
-        # U2(phi, lam) = U3(pi/2, phi, lam), so the inverse leaves the U2 family
-        phi, lam = g.params
-        return Gate(GateKind.U3, g.qubits, (-math.pi / 2, -lam, -phi))
     raise ValueError(f"no inverse rule for {k}")
 
 
@@ -133,7 +124,7 @@ def cnot_count(circuit: Circuit) -> int:
 def asap(steps, num_qubits: int) -> list[int]:
     """Greedy as-soon-as-possible layering of gates given by their qubit
     tuples: each gate's layer, the earliest in which none of its qubits is
-    already busy. The package's one layering; `layers` groups it and the
+    already busy. The package's one layering; `depth` counts it and the
     noise model reads it."""
     frontier = [0] * num_qubits  # first free layer per qubit
     out = []
@@ -150,19 +141,10 @@ def asap(steps, num_qubits: int) -> list[int]:
     return out
 
 
-def layers(circuit: Circuit) -> list[list[int]]:
-    """Gate indices per `asap` layer."""
-    out: list[list[int]] = []
-    for i, layer in enumerate(asap([g.qubits for g in circuit.gates], circuit.num_qubits)):
-        if layer == len(out):
-            out.append([])
-        out[layer].append(i)
-    return out
-
-
 def depth(circuit: Circuit) -> int:
     """Number of layers in the greedy ASAP layering (all gates counted)."""
-    return len(layers(circuit))
+    found = asap([g.qubits for g in circuit.gates], circuit.num_qubits)
+    return max(found) + 1 if found else 0
 
 
 # --- text serialization: `qubits N` header, then one gate per line ---------

@@ -39,7 +39,7 @@ from .circuits import (
     inverse,
 )
 from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
-from .quantum import _CNOT, measure
+from .quantum import _CNOT, _FIXED_1Q, measure
 from .seeding import spawn
 
 
@@ -78,10 +78,6 @@ class DeviceModel:
             if abs(np.linalg.det(m)) < 1e-12:
                 raise ValueError(f"singular readout confusion matrix for qubit {q}")
 
-    @property
-    def edges(self) -> frozenset:
-        return frozenset(self.cnot_error)
-
     def confusion(self, qubit: int) -> np.ndarray:
         """Row-stochastic P[read r | true t]; identity when unlisted."""
         return self.readout_confusion.get(qubit, np.eye(2))
@@ -111,12 +107,7 @@ def estimation_circuit(circuit: Circuit) -> Circuit:
 
 
 _PAULI_KINDS = (None, GateKind.X, GateKind.Y, GateKind.Z)  # None = identity
-_PAULI_MATS = {
-    None: np.eye(2, dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_MATS = {None: np.eye(2, dtype=complex), **_FIXED_1Q}
 
 
 def _compensation_table() -> dict:

@@ -35,6 +35,7 @@ from .device import (
 )
 from .fairness import fairness_score
 from .partition import Partition, partition, space_size
+from .quantum import STATEVECTOR_QUBIT_CAP
 # accuracy: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .qnn import (
     Dataset,
@@ -258,6 +259,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"eps_syn must lie in (0, 1], got {cfg.eps_syn}")
     if cfg.k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {cfg.k_max}")
+    if cfg.s_blk == 3 and cfg.k_max >= 40:  # 3^k_max placement patterns overflow int64
+        raise ConfigError(f"k_max must be below 40 with s_blk 3, got {cfg.k_max}")
     if cfg.max_candidates < 1:
         raise ConfigError(f"max_candidates must be >= 1, got {cfg.max_candidates}")
     if cfg.synthetic_rows < 1:
@@ -278,6 +281,9 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
 
 
 def load_model(cfg: ExperimentConfig) -> QnnModel:
+    if cfg.num_qubits > STATEVECTOR_QUBIT_CAP:
+        raise ConfigError(f"bad model: {cfg.num_qubits} qubits exceeds the simulator's "
+                          f"{STATEVECTOR_QUBIT_CAP}-qubit cap")
     try:
         params = load_params(cfg.params_path)
         return build_qnn(cfg.arch, cfg.num_qubits, cfg.layers, params, cfg.measure_qubit)
@@ -310,10 +316,16 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
         raise ConfigError("data.csv needs data.schema")
     try:
         if cfg.data_csv:
-            return load_dataset(cfg.data_csv, load_schema(cfg.data_schema), cfg.seed)
-        return synthetic_dataset(cfg.synthetic_rows, cfg.num_qubits, cfg.seed, cfg.synthetic_flip)
+            data = load_dataset(cfg.data_csv, load_schema(cfg.data_schema), cfg.seed)
+        else:
+            data = synthetic_dataset(cfg.synthetic_rows, cfg.num_qubits, cfg.seed,
+                                     cfg.synthetic_flip)
     except ValueError as exc:
         raise ConfigError(f"bad data: {exc}") from exc
+    if data.num_features != cfg.num_qubits:  # the encoder puts feature k on qubit k
+        raise ConfigError(f"bad data: rows of {data.num_features} features do not fit "
+                          f"{cfg.num_qubits} qubits")
+    return data
 
 
 # --- synthesis with an on-disk cache --------------------------------------------
@@ -361,12 +373,9 @@ def synthesize(cfg: ExperimentConfig, model: QnnModel) -> tuple[list[Partition],
 
 
 def baseline_min_cnot(lists: list[CandidateList]) -> tuple[int, ...]:
-    """Per partition the fewest-CNOT candidate; ties by distance then ordinal."""
-    out = []
-    for cl in lists:
-        best = min(range(len(cl)), key=lambda i: (cl.candidates[i].cnots, cl.candidates[i].distance, i))
-        out.append(best)
-    return tuple(out)
+    """Per partition the fewest-CNOT candidate, ties by distance then ordinal:
+    ordinal 0, since a CandidateList is sorted by (cnots, distance)."""
+    return (0,) * len(lists)
 
 
 def baseline_random(lists: list[CandidateList], rng: np.random.Generator) -> tuple[int, ...]:

@@ -17,13 +17,10 @@ from .circuits import Circuit, Gate, GateKind
 
 STATEVECTOR_QUBIT_CAP = 12
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 _FIXED_1Q = {
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
 }
 
 _CNOT = np.array(
@@ -49,17 +46,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
     k = g.kind
     if k in _FIXED_1Q:
         return _FIXED_1Q[k]
-    if k is GateKind.RX:
-        t = g.params[0] / 2.0
-        return np.array([[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]])
     if k is GateKind.RY:
         t = g.params[0] / 2.0
         return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-    if k is GateKind.RZ:
-        t = g.params[0] / 2.0
-        return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
-    if k is GateKind.U2:
-        return u3_matrix(math.pi / 2.0, *g.params)
     if k is GateKind.U3:
         return u3_matrix(*g.params)
     if k is GateKind.CNOT:

@@ -13,7 +13,6 @@ many partitions use it.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,8 +120,14 @@ class SynthesisTemplate:
 class Candidate:
     circuit: Circuit
     distance: float
-    cnots: int
-    depth: int
+
+    @property
+    def cnots(self) -> int:
+        return _cnot_count(self.circuit)
+
+    @property
+    def depth(self) -> int:
+        return _depth(self.circuit)
 
 
 @dataclass(frozen=True)
@@ -313,8 +318,7 @@ def fit_template(
     for target, b in zip(targets, best):
         circuit = template.realize(x[b])
         distance = hs_distance(circuit_unitary(circuit), target)  # re-verified
-        found.append(None if distance > eps_syn else Candidate(
-            circuit=circuit, distance=distance, cnots=_cnot_count(circuit), depth=_depth(circuit)))
+        found.append(None if distance > eps_syn else Candidate(circuit, distance))
     return found
 
 
@@ -327,17 +331,20 @@ MAX_PATTERNS_PER_K = 20
 def _placement_patterns(
     num_qubits: int, k: int, rng: np.random.Generator
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Ordered CNOT placement sequences for one k, capped by seeded sampling."""
-    if k == 0:
-        return [()]
+    """Ordered CNOT placement sequences for one k, capped by seeded sampling.
+
+    Pattern i is the i-th of itertools.product(pairs, repeat=k): its base-3
+    digits, first slot most significant, pick each slot's pair. Only the
+    drawn indices are decoded, so memory does not grow with 3^k."""
     if num_qubits == 2:
         return [((0, 1),) * k]
     pairs = [(0, 1), (0, 2), (1, 2)]
-    all_patterns = list(itertools.product(pairs, repeat=k))
-    if len(all_patterns) <= MAX_PATTERNS_PER_K:
-        return all_patterns
-    chosen = rng.choice(len(all_patterns), size=MAX_PATTERNS_PER_K, replace=False)
-    return [all_patterns[i] for i in sorted(chosen)]
+    total = 3**k
+    if total <= MAX_PATTERNS_PER_K:
+        chosen = range(total)
+    else:
+        chosen = sorted(int(i) for i in rng.choice(total, size=MAX_PATTERNS_PER_K, replace=False))
+    return [tuple(pairs[i // 3**slot % 3] for slot in reversed(range(k))) for i in chosen]
 
 
 def generate_candidate_lists(
@@ -418,30 +425,24 @@ def save_candidate_lists(lists: list[CandidateList], directory: str | Path) -> N
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "index.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["partition", "ordinal", "distance", "cnots", "depth", "file"])
+        writer.writerow(["partition", "ordinal", "distance", "file"])
         for cl in lists:
             for i, cand in enumerate(cl.candidates):
                 fname = f"p{cl.partition_index:03d}_c{i:02d}.qc"
                 save_circuit(cand.circuit, directory / fname)
-                writer.writerow(
-                    [cl.partition_index, i, "%.17g" % cand.distance, cand.cnots, cand.depth, fname]
-                )
+                writer.writerow([cl.partition_index, i, "%.17g" % cand.distance, fname])
 
 
 def load_candidate_lists(directory: str | Path) -> list[CandidateList]:
     """Read lists written by save_candidate_lists; CacheError when the index
-    or a circuit file is missing or does not parse."""
+    or a circuit file is missing or does not parse. Index columns other than
+    partition, distance and file are ignored."""
     directory = Path(directory)
     rows_by_partition: dict[int, list[Candidate]] = {}
     try:
         with open(directory / "index.csv", newline="") as fh:
             for row in csv.DictReader(fh):
-                cand = Candidate(
-                    circuit=load_circuit(directory / row["file"]),
-                    distance=float(row["distance"]),
-                    cnots=int(row["cnots"]),
-                    depth=int(row["depth"]),
-                )
+                cand = Candidate(load_circuit(directory / row["file"]), float(row["distance"]))
                 rows_by_partition.setdefault(int(row["partition"]), []).append(cand)
         return [
             CandidateList(idx, tuple(cands))
@@ -459,7 +460,7 @@ def verify_candidate_lists(
     Raises CacheError unless there is one list per partition, in order, and
     every candidate's recomputed distance to its partition's target is within
     eps_syn and equals its recorded distance (to 1e-9 relative, which absorbs
-    only float rounding), with the recorded CNOT count and depth.
+    only float rounding).
     """
     if [cl.partition_index for cl in lists] != [p.index for p in parts]:
         raise CacheError(f"cache lists partitions {[cl.partition_index for cl in lists]}, "
@@ -475,6 +476,3 @@ def verify_candidate_lists(
             if distance > eps_syn or not recorded:
                 raise CacheError(f"{where} is at distance {distance!r}, "
                                  f"recorded {cand.distance!r}, budget {eps_syn!r}")
-            if (cand.cnots, cand.depth) != (_cnot_count(cand.circuit), _depth(cand.circuit)):
-                raise CacheError(f"{where} records {cand.cnots} CNOTs and depth {cand.depth}, "
-                                 "not its circuit's")

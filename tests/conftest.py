@@ -30,9 +30,9 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
             q1, q2 = rng.choice(num_qubits, size=2, replace=False)
             gates.append(Gate(GateKind.CNOT, (int(q1), int(q2))))
         else:
-            kind = rng.choice([GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U3, GateKind.H])
+            kind = rng.choice([GateKind.RY, GateKind.U3, GateKind.X])
             q = int(rng.integers(0, num_qubits))
-            nparams = {GateKind.U3: 3, GateKind.H: 0}.get(kind, 1)
+            nparams = GATE_ARITY[kind][1]
             params = tuple(rng.uniform(0, 2 * np.pi, size=nparams))
             gates.append(Gate(kind, (q,), params))
     return Circuit(num_qubits, tuple(gates))

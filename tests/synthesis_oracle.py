@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from qfairdeploy.circuits import cnot_count as _cnot_count
-from qfairdeploy.circuits import depth as _depth
 from qfairdeploy.partition import Partition
 from qfairdeploy.quantum import circuit_unitary
 from qfairdeploy.seeding import spawn
@@ -111,7 +109,7 @@ def fit_template_alone(
     distance = hs_distance(circuit_unitary(circuit), target)  # re-verified
     if distance > eps_syn:
         return None
-    return Candidate(circuit=circuit, distance=distance, cnots=_cnot_count(circuit), depth=_depth(circuit))
+    return Candidate(circuit, distance)
 
 
 def candidate_list_alone(

@@ -15,9 +15,7 @@ from qfairdeploy.circuits import (
     cnot_count,
     concat,
     depth,
-    gate_inverse,
     inverse,
-    layers,
 )
 from qfairdeploy.quantum import circuit_unitary
 
@@ -45,11 +43,13 @@ class TestCnotCount:
         assert cnot_count(Circuit(2)) == 0
 
     def test_mixed(self):
-        c = Circuit(3, (gate("h", 0), gate("cnot", 0, 1), gate("cnot", 1, 2)))
+        c = Circuit(3, (gate("ry", 0, params=(math.pi / 2,)), gate("cnot", 0, 1),
+                        gate("cnot", 1, 2)))
         assert cnot_count(c) == 2
 
     def test_only_single_qubit(self):
-        c = Circuit(2, (gate("h", 0), gate("x", 1), gate("u3", 0, params=(1, 2, 3))))
+        c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("x", 1),
+                        gate("u3", 0, params=(1, 2, 3))))
         assert cnot_count(c) == 0
 
     def test_counts_two_qubit_rotations(self):
@@ -68,11 +68,6 @@ class TestDepth:
     def test_parallel_layer(self):
         c = Circuit(2, (gate("x", 0), gate("x", 1)))
         assert depth(c) == 1
-
-    def test_layers_partition_gate_indices(self, rng):
-        c = random_circuit(rng, 4, 30)
-        found = sorted(i for layer in layers(c) for i in layer)
-        assert found == list(range(30))
 
     def test_removing_a_gate_never_increases_depth(self, rng):
         for trial in range(20):
@@ -94,7 +89,6 @@ def test_asap_places_each_gate_just_past_its_qubits(c):
         # no two gates in one layer share a qubit
         assert not any(found[j] == found[i] for j in range(i) if set(steps[j]) & set(qubits))
     assert depth(c) == (max(found) + 1 if found else 0)
-    assert layers(c) == [[i for i, layer in enumerate(found) if layer == d] for d in range(depth(c))]
 
 
 def test_concat_and_append():
@@ -110,12 +104,6 @@ def test_inverse_cancels_circuit(rng):
         c = random_circuit(rng, 3, 12)
         u = circuit_unitary(concat(c, inverse(c)))
         np.testing.assert_allclose(u, np.eye(8), atol=1e-9)
-
-
-def test_gate_inverse_u2_exact():
-    g = gate("u2", 0, params=(0.7, -1.3))
-    u = circuit_unitary(Circuit(1, (g, gate_inverse(g))))
-    np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
 
 
 class TestSerialization:

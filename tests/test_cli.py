@@ -94,6 +94,9 @@ _BAD_MODEL_AND_DATA = [
     "train.gamma 1.5",
     "train.iterations abc",
     "weights.rl3 -1,0.5",
+    "weights.rl3 nan,1",
+    "weights.rl3 inf,1",
+    "weights.rl3 1,inf",
     "eval.fill bogus",
     "eval.split bogus",
     "eval.r_twirls 0",
@@ -107,6 +110,7 @@ _BAD_MODEL_AND_DATA = [
     "eps_syn 1.5",
     "eps_syn inf",
     "k_max -1",
+    "s_blk 3\nk_max 40",  # 3^40 placement patterns overflow the sampler
     "max_candidates 0",
     "opt.starts 0",
     "opt.starts -2",
@@ -132,6 +136,34 @@ def test_bad_config_value_exits_2_before_synthesis(toy_config, tmp_path, capsys,
 @pytest.mark.parametrize("verb", ["synthesize", "evaluate", "fairness-scan"])
 def test_bad_model_or_data_exits_2_from_every_verb(toy_config, tmp_path, capsys, verb, line):
     toy_config.write_text(toy_config.read_text() + line + "\n")
+    assert main([verb, str(toy_config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cache").exists()
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def _model_over_the_cap(tmp_path) -> str:
+    """A 13-qubit c14 model on a 13-qubit ring: routable, one qubit past the
+    statevector cap."""
+    (tmp_path / "p13.txt").write_text("0.5\n" * 52)
+    ring = "".join(f"edge {q} {(q + 1) % 13} 0.01\n" for q in range(13))
+    (tmp_path / "ring13.device").write_text("name ring13\nqubits 13\n" + ring)
+    return f"model.qubits 13\nmodel.params p13.txt\ndevice {tmp_path / 'ring13.device'}"
+
+
+def _data_too_narrow(tmp_path) -> str:
+    """A CSV whose schema lists 3 features for the 4-qubit model."""
+    rows = "".join(f"{i % 5},{i % 3},{i % 7},{i % 2}\n" for i in range(40))
+    (tmp_path / "narrow.csv").write_text("a,b,c,y\n" + rows)
+    (tmp_path / "narrow.schema").write_text(
+        "features a,b,c\nlabel y\nlabel_positive 1\ntrain_size 20\ntest_size 10\n")
+    return "data.csv narrow.csv\ndata.schema narrow.schema"
+
+
+@pytest.mark.parametrize("bad_input", [_model_over_the_cap, _data_too_narrow])
+@pytest.mark.parametrize("verb", ["evaluate", "deploy", "fairness-scan"])
+def test_model_or_data_the_simulator_cannot_run_exits_2(toy_config, tmp_path, capsys, verb, bad_input):
+    toy_config.write_text(toy_config.read_text() + bad_input(tmp_path) + "\n")
     assert main([verb, str(toy_config)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from simulation_oracle import (
 
 class TestEstimationCircuit:
     def test_only_single_qubit_gates(self):
-        c = Circuit(2, (gate("u3", 0, params=(1, 2, 3)), gate("h", 1)))
+        c = Circuit(2, (gate("u3", 0, params=(1, 2, 3)), gate("ry", 1, params=(math.pi / 2,))))
         assert len(estimation_circuit(c).gates) == 0
 
     def test_only_cnots_unchanged(self):
@@ -61,7 +62,7 @@ class TestRandomizedCompile:
             assert hs_distance(u, circuit_unitary(twirled)) < 1e-9
 
     def test_no_cnots_unchanged(self):
-        c = Circuit(2, (gate("h", 0), gate("ry", 1, params=(0.4,))))
+        c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("ry", 1, params=(0.4,))))
         assert randomized_compile(c, spawn(0, "t")).gates == c.gates
 
     def test_single_cnot_counts(self):
@@ -178,14 +179,14 @@ class TestSimulateNoisy:
 
     def test_shot_mode_close_to_exact(self):
         dev = toy_device(2, edge_error=0.05)
-        c = Circuit(2, (gate("h", 0), gate("cnot", 0, 1)))
+        c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("cnot", 0, 1)))
         exact = simulate_noisy(c, dev)
         freq = simulate_noisy(c, dev, shots=50_000, rng=spawn(3, "s"))
         assert np.abs(freq - exact).max() < 0.02
 
     def test_zero_shots_rejected(self):
         # sampling zero shots used to divide by zero and return NaN
-        c = Circuit(2, (gate("h", 0), gate("cnot", 0, 1)))
+        c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("cnot", 0, 1)))
         with pytest.raises(ValueError, match="shots"):
             simulate_noisy(c, toy_device(2), shots=0, rng=spawn(3, "s"))
 
@@ -195,7 +196,7 @@ class TestSimulateNoisy:
             simulate_noisy(Circuit(3, (gate("cnot", 0, 2),)), dev)
 
 
-_ONE_QUBIT_KINDS = {GateKind.H: 0, GateKind.X: 0, GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.U3: 3}
+_ONE_QUBIT_KINDS = {GateKind.X: 0, GateKind.RY: 1, GateKind.U3: 3}
 _rate = st.floats(0.0, 0.1)
 _angle = st.floats(0.0, 2 * np.pi)
 
@@ -356,7 +357,7 @@ class TestMitigateReadout:
             readout_confusion={0: np.array([[0.95, 0.05], [0.06, 0.94]]),
                                1: np.array([[0.97, 0.03], [0.02, 0.98]])},
         )
-        c = Circuit(2, (gate("h", 0), gate("cnot", 0, 1)))
+        c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("cnot", 0, 1)))
         raw = simulate_noisy(c, dev)
         fixed = mitigate_readout(raw, dev, (0, 1))
         ideal = measure(simulate_state(c), (0, 1))

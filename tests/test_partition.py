@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,9 +85,9 @@ class TestRecombine:
     def test_concatenation_order(self):
         c = Circuit(4, (gate("cnot", 0, 1), gate("cnot", 2, 3)))
         parts = partition(c, 2)
-        sels = [Circuit(2, (gate("h", 0),)), Circuit(2, (gate("x", 1),))]
+        sels = [Circuit(2, (gate("ry", 0, params=(math.pi / 2,)),)), Circuit(2, (gate("x", 1),))]
         out = recombine(parts, sels, 4)
-        assert [(g.kind.value, g.qubits) for g in out.gates] == [("h", (0,)), ("x", (3,))]
+        assert [(g.kind.value, g.qubits) for g in out.gates] == [("ry", (0,)), ("x", (3,))]
 
     def test_count_mismatch(self, rng):
         parts = partition(random_circuit(rng, 3, 9), 2)

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -19,6 +20,7 @@ from qfairdeploy.pipeline import (
     read_report_json,
     run_experiment,
 )
+from qfairdeploy.circuits import Circuit, cnot_count, depth, load_circuit
 from qfairdeploy.cli import main as cli_main
 from qfairdeploy.partition import partition
 from qfairdeploy.seeding import spawn
@@ -30,7 +32,6 @@ from qfairdeploy.synthesis import (
     load_candidate_lists,
     verify_candidate_lists,
 )
-from qfairdeploy.circuits import Circuit
 from qfairdeploy.toys import two_partition_instance
 
 from conftest import gate
@@ -41,7 +42,7 @@ GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "toy4_reports.csv"
 
 def _candidate(cnots: int, distance: float) -> Candidate:
     gates = tuple(gate("cnot", 0, 1) for _ in range(cnots))
-    return Candidate(Circuit(2, gates), distance, cnots, cnots)
+    return Candidate(Circuit(2, gates), distance)
 
 
 class TestBaselines:
@@ -299,6 +300,34 @@ def test_corrupt_cache_is_a_miss_and_rebuilt(corrupt, toy_run, tmp_path, monkeyp
     assert list((tmp_path / "cache").iterdir()) == [cache]
     parts = partition(load_model(cfg).circuit, cfg.s_blk)
     verify_candidate_lists(load_candidate_lists(cache), parts, cfg.eps_syn)
+
+
+def test_cache_with_stored_cnots_and_depth_is_reused(toy_run, tmp_path, monkeypatch):
+    # an index in the older six-column form, which also stored each
+    # candidate's CNOT count and depth, loads, verifies and is reused as is
+    import qfairdeploy.synthesis as synthesis
+    _, _, out = toy_run
+    shutil.copytree(out / "cache", tmp_path / "cache")
+    (cache,) = (tmp_path / "cache").glob("synth-*")
+    with open(cache / "index.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(cache / "index.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["partition", "ordinal", "distance", "cnots", "depth", "file"])
+        for row in rows:
+            circuit = load_circuit(cache / row["file"])
+            writer.writerow([row["partition"], row["ordinal"], row["distance"],
+                             cnot_count(circuit), depth(circuit), row["file"]])
+    old_index = (cache / "index.csv").read_bytes()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a valid cache was refitted")
+
+    monkeypatch.setattr(synthesis, "fit_template", no_fit)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert cli_main(["evaluate", str(REPO_CONFIG)]) == 0
+    assert (tmp_path / "reports.csv").read_bytes() == GOLDEN_REPORTS.read_bytes()
+    assert (cache / "index.csv").read_bytes() == old_index
 
 
 def test_rl_beats_random_mean_over_seeds():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfairdeploy.circuits import Circuit, cnot_count, depth
+from qfairdeploy.circuits import Circuit
 from qfairdeploy.partition import Partition, partition, recombine
 from qfairdeploy.pipeline import load_config, load_model
 from qfairdeploy.quantum import circuit_unitary
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
+    MAX_PATTERNS_PER_K,
     Candidate,
     CandidateList,
     OptimizerConfig,
@@ -20,6 +23,7 @@ from qfairdeploy.synthesis import (
     SynthesisTemplate,
     _cnot_rows,
     _forward,
+    _placement_patterns,
     _u3_layers,
     _value_and_grad,
     fit_template,
@@ -332,6 +336,31 @@ class TestGenerateCandidates:
         assert min(c.cnots for c in cl.candidates) == 1
 
 
+class TestPlacementPatterns:
+    PAIRS = [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_equal_to_listing_every_pattern(self, k):
+        # the listing the sampler replaced: every pattern in itertools order,
+        # 20 of them drawn by the same rng call when there are more
+        every = list(itertools.product(self.PAIRS, repeat=k))
+        oracle_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
+        if len(every) > MAX_PATTERNS_PER_K:
+            chosen = oracle_rng.choice(len(every), size=MAX_PATTERNS_PER_K, replace=False)
+            every = [every[i] for i in sorted(chosen)]
+        assert _placement_patterns(3, k, rng) == every
+        assert rng.random() == oracle_rng.random()  # the stream advanced alike
+
+    def test_long_sequences_are_drawn_without_listing_them(self):
+        # listing all 3^14 = 4.8M patterns takes about 1.5 s and 0.8 GB;
+        # k stays at 14 so that such a regression fails without exhausting memory
+        started = time.perf_counter()
+        patterns = _placement_patterns(3, 14, np.random.default_rng(0))
+        assert time.perf_counter() - started < 0.5
+        assert len(set(patterns)) == MAX_PATTERNS_PER_K
+        assert all(len(p) == 14 and set(p) <= set(self.PAIRS) for p in patterns)
+
+
 def test_recombination_bound_subadditive(rng):
     # approximating two partitions independently cannot overshoot the summed
     # budget: checked numerically on random 2-partition splits
@@ -371,8 +400,8 @@ def _candidate_lists(draw):
         width = len(part.qubits)
         options = [part.sub_circuit]
         options += [draw(circuits(width, width, 6)) for _ in range(draw(st.integers(0, 2)))]
-        cands = sorted((Candidate(c, hs_distance(circuit_unitary(c), part.target_unitary),
-                                  cnot_count(c), depth(c)) for c in options),
+        cands = sorted((Candidate(c, hs_distance(circuit_unitary(c), part.target_unitary))
+                        for c in options),
                        key=lambda c: (c.cnots, c.distance))
         lists.append(CandidateList(part.index, tuple(cands)))
     return parts, lists
@@ -385,5 +414,5 @@ def test_candidate_lists_round_trip_random(case):
     with tempfile.TemporaryDirectory() as tmp:
         save_candidate_lists(lists, Path(tmp) / "cands")
         back = load_candidate_lists(Path(tmp) / "cands")
-    assert back == lists  # gates, distances, CNOT counts and depths, bit for bit
+    assert back == lists  # gates and distances, bit for bit
     verify_candidate_lists(back, parts, eps_syn=1.0)
