@@ -12,7 +12,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .device import UnroutedGateError
-from .fairness import estimate_lipschitz, find_bias_pairs, write_bias_pairs_csv, write_lipschitz_csv
+# estimate_lipschitz, find_bias_pairs: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
+from .fairness import (estimate_lipschitz, fairness_scan, find_bias_pairs, write_bias_pairs_csv,
+                       write_lipschitz_csv)
 from .synthesis import SynthesisError
 from .pipeline import (
     ConfigError,
@@ -104,8 +106,7 @@ def cmd_fairness_scan(args) -> int:
     rows = data.split(args.split)[: args.max_rows or None]
     if len(rows) < 2:
         raise ConfigError(f"fairness-scan needs at least 2 rows; {len(rows)} of the {args.split} split left")
-    pairs = find_bias_pairs(model, device, data, args.eps, args.delta, rows=rows)
-    est = estimate_lipschitz(model, device, data, rows=rows)
+    pairs, est = fairness_scan(model, device, data, args.eps, args.delta, rows=rows)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bias_pairs_csv(pairs, out_dir / "bias_pairs.csv")

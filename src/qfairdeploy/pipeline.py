@@ -126,7 +126,7 @@ class ExperimentConfig:
     layers: int
     params_path: str
     measure_qubit: int
-    device_ref: str                  # bundled name or a file path
+    device_ref: str                  # bundled name or a file path (resolved; see load_config)
     data_csv: str | None
     data_schema: str | None
     synthetic_rows: int
@@ -179,7 +179,11 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     """Parse the flat key-value experiment file; overrides replace keys before
     hashing so a changed run is a different config. Unknown keys, values that
     do not parse, and bad synthesis, optimizer, training, weight, evaluation
-    and scheme settings raise ConfigError here, before any stage runs."""
+    and scheme settings raise ConfigError here, before any stage runs.
+
+    Relative paths the file names (model.params, data.*, a device that is
+    not bundled) resolve against the file's directory; a device path given
+    as an override stays as given, relative to the working directory."""
     path = Path(path)
     try:
         kv = _parse_kv(path.read_text())
@@ -221,6 +225,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
             raise ConfigError(f"s_blk must be 2 or 3, got {s_blk}")
 
         output_dir = os.environ.get(OUTPUT_DIR_ENV) or resolve(get("output_dir", "out"))
+        device, device_override = get("device"), (overrides or {}).get("device") is not None
         data_csv = kv.get("data.csv")
         cfg = ExperimentConfig(
             arch=get("model.arch"),
@@ -228,7 +233,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
             layers=int(get("model.layers", "1")),
             params_path=resolve(get("model.params")),
             measure_qubit=int(get("model.measure_qubit", "0")),
-            device_ref=get("device"),
+            device_ref=device if device in BUNDLED_DEVICES or device_override else resolve(device),
             data_csv=resolve(data_csv) if data_csv else None,
             data_schema=resolve(kv["data.schema"]) if "data.schema" in kv else None,
             synthetic_rows=int(get("data.synthetic.rows", "40")),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, load_circuit, save_circuit
 from .circuits import cnot_count as _cnot_count
-from .circuits import depth as _depth
 from .partition import Partition
 from .quantum import circuit_unitary
 from .seeding import spawn
@@ -124,10 +123,6 @@ class Candidate:
     @property
     def cnots(self) -> int:
         return _cnot_count(self.circuit)
-
-    @property
-    def depth(self) -> int:
-        return _depth(self.circuit)
 
 
 @dataclass(frozen=True)
@@ -326,6 +321,42 @@ def fit_template(
 
 DEFAULT_MAX_CANDIDATES = 9
 MAX_PATTERNS_PER_K = 20
+# gap below the overlap a fit must reach; it absorbs the rounding of the SVD
+_PRUNE_GAP = 1e-9
+
+
+def _cut_singular_values(target: np.ndarray) -> list[np.ndarray]:
+    """Per qubit a, the singular values of the target realigned across the
+    cut {a} | rest: the 4 x d^2/4 matrix R[(i, j), (k, l)] = T[(i, k), (j, l)],
+    i and j qubit a's row and column bits. They are the target's
+    operator-Schmidt coefficients across that cut. Empty for one qubit."""
+    nq = int(round(math.log2(target.shape[0])))
+    tensor = target.reshape((2,) * (2 * nq))
+    return [np.linalg.svd(np.moveaxis(tensor, (a, nq + a), (0, 1)).reshape(4, -1), compute_uv=False)
+            for a in range(nq)] if nq > 1 else []
+
+
+def _cannot_fit(template: SynthesisTemplate, cut_svals: list[np.ndarray], eps_syn: float) -> bool:
+    """Whether no circuit of the template lies within eps_syn of the target
+    whose `_cut_singular_values` are given, so its fit would return None.
+
+    On a cut {a} | rest that m <= 1 of the template's CNOTs cross, every
+    circuit of the template has 2^m operator-Schmidt coefficients, each
+    sqrt(d / 2^m). By von Neumann's trace inequality |Tr(U^dag T)| / d is
+    then at most sqrt(d / 2^m) * (sum of the target's 2^m largest) / d, and
+    a distance within eps_syn needs that overlap to reach sqrt(1 - eps_syn^2).
+    The comparison is of overlaps: sqrt(1 - b^2) would turn a 1e-16 rounding
+    of a bound b near 1 into 1.5e-8 of distance. The bound is never below
+    1/2, so the test fires only for eps_syn < sqrt(3)/2, where the gap is
+    at least 1e-9 in squared distance, far above the fit's rounding.
+    """
+    d = 2**template.num_qubits
+    floor = math.sqrt(1.0 - eps_syn**2) - _PRUNE_GAP
+    for a, svals in enumerate(cut_svals):
+        m = sum(a in pair for pair in template.placements)
+        if m <= 1 and math.sqrt(d / 2**m) * svals[:2**m].sum() / d < floor:
+            return True
+    return False
 
 
 def _placement_patterns(
@@ -362,7 +393,8 @@ def generate_candidate_lists(
     Every partition that uses a template is fitted in the same lockstep
     fit_template call, so each distinct template descends once. Each fit
     draws from its own (partition, k, placement) rng stream, so a list is
-    the same whichever other partitions are synthesized with it.
+    the same whichever other partitions are synthesized with it. A fit that
+    `_cannot_fit` proves out of reach is skipped: it would return None.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -372,12 +404,14 @@ def generate_candidate_lists(
     for pos, part in enumerate(parts):
         nq = len(part.qubits)
         pattern_rng = spawn(seed, "placement-patterns", part.index)
+        cut_svals = _cut_singular_values(part.target_unitary)
         ordinal = 0
         for k in range(k_max + 1 if nq > 1 else 1):  # a 1-qubit block has no pairs
             for pat_idx, placements in enumerate(_placement_patterns(nq, k, pattern_rng)):
-                fit_rng = spawn(seed, "template-fit", part.index, k, pat_idx)
-                jobs.setdefault(SynthesisTemplate(nq, placements), []).append(
-                    (pos, ordinal, fit_rng))
+                template = SynthesisTemplate(nq, placements)
+                if not _cannot_fit(template, cut_svals, eps_syn):
+                    fit_rng = spawn(seed, "template-fit", part.index, k, pat_idx)
+                    jobs.setdefault(template, []).append((pos, ordinal, fit_rng))
                 ordinal += 1
         fits.append([None] * ordinal)
     for template, group in jobs.items():

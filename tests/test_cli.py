@@ -234,3 +234,21 @@ def test_unroutable_ansatz_exits_2_before_synthesis(toy_config, tmp_path, capsys
     assert main([verb, str(toy_config), "--device", str(device)]) == 2
     assert "rzz on (3, 0) is not a coupling edge" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()
+
+
+def test_device_file_named_in_the_config_resolves_against_its_directory(toy_config, tmp_path, monkeypatch,
+                                                                        capsys):
+    # a config moved together with its device file runs from any directory,
+    # as its model.params does
+    text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()
+    (tmp_path / "mine.device").write_text(text)
+    toy_config.write_text(toy_config.read_text().replace("device ring14", "device mine.device"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["fairness-scan", str(toy_config)]) == 0
+    assert (tmp_path / "out" / "lipschitz.csv").exists()
+    # a --device path on the command line stays relative to the working directory
+    assert main(["fairness-scan", str(toy_config), "--device", "../mine.device"]) == 0
+    assert main(["fairness-scan", str(toy_config), "--device", "mine.device"]) == 2
+    assert "neither bundled nor a file" in capsys.readouterr().err

@@ -1,17 +1,20 @@
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfairdeploy import fairness
 from qfairdeploy.cli import main
 from qfairdeploy.fairness import (
     DEGENERATE_TOL,
     BiasPair,
-    _pair_pass,
+    _block_walk,
     estimate_lipschitz,
+    fairness_scan,
     fairness_score,
     find_bias_pairs,
     is_fair,
@@ -206,7 +209,7 @@ class TestScalarOps:
             fairness_score(1.2)
 
 
-# --- the shared pair pass against a pair-by-pair reference ----------------------
+# --- the shared block walk against a pair-by-pair reference --------------------
 
 
 @st.composite
@@ -231,11 +234,12 @@ def _scan_case(draw):
 def _reference_pairs(model, device, data, rows) -> dict:
     """(i, j) -> (input, output distance) for every pair, one scalar call each.
 
-    The per-row vectors come from the same stacked batches `_pair_pass` uses:
+    The per-row vectors come from the same stacked batches `_block_walk` uses:
     d_out / d_in magnifies a last-ulp difference between a batched and a
     row-by-row simulation by up to 1 / DEGENERATE_TOL, far past this test's
     1e-12. `TestOutputDistribution` in test_qnn.py checks the batches against
-    the row-by-row simulation."""
+    the row-by-row simulation. Each scalar call rounds as the walk's
+    broadcast does, which `TestBlockBoundaries` checks bit for bit."""
     rows = sorted(range(len(data.labels)) if rows is None else rows)
     states = dict(zip(rows, encoded_states(data.features[rows])))
     dists = dict(zip(rows, output_distribution(model, data.features[rows], device)))
@@ -250,9 +254,7 @@ class TestPairPassMatchesReference:
         model, device, data, rows, eps, delta = case
         ref = _reference_pairs(model, device, data, rows)
 
-        walked = {}
-        for i, later, d_in, d_out in _pair_pass(model, device, data, rows):
-            walked.update({(i, int(j)): (x, y) for j, x, y in zip(later, d_in, d_out)})
+        walked = _walked_pairs(model, device, data, rows)
         assert list(walked) == list(ref)  # sorted-row order
         for ij, (x, y) in walked.items():
             assert (x, y) == pytest.approx(ref[ij], abs=1e-12)
@@ -273,6 +275,66 @@ class TestPairPassMatchesReference:
             assert est.argmax_pair is None
         elif len(top) == 1 or top[0] - top[1] > 1e-12:
             assert est.argmax_pair == max(ratios, key=ratios.get)  # first maximal pair
+
+        assert fairness_scan(model, device, data, eps, delta, rows=rows) == (pairs, est)
+
+
+def _walked_pairs(model, device, data, rows) -> dict:
+    """(i, j) -> (input, output distance) in the order `_block_walk` yields
+    the pairs with j after i."""
+    walked = {}
+    for i, j, later, d_in, d_out in _block_walk(model, device, data, rows):
+        for a, b in zip(*np.nonzero(later)):
+            walked[(int(i[a]), int(j[b]))] = (d_in[a, b], d_out[a, b])
+    return walked
+
+
+@st.composite
+def _block_case(draw):
+    """A `_scan_case` whose walked rows fill one block of `block` rows, pass
+    it by one or two rows, or fill two blocks and one row more, where `block`
+    is the walk's block size. The rows are a permuted subset of the dataset."""
+    block = draw(st.integers(1, 6))
+    n = max(2, draw(st.sampled_from((block, block + 1, block + 2, 2 * block + 1))))
+    spare, d = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    features = np.array([[draw(st.sampled_from((0.0, 0.5, 1.0))) if draw(st.booleans())
+                          else draw(st.floats(0.0, 1.0)) for _ in range(d)] for _ in range(n + spare)])
+    model = toy_model(d, seed=draw(st.integers(0, 1000)))
+    device = None
+    if draw(st.booleans()):
+        device = toy_device(d, uniform_depolarizing=draw(st.floats(0.0, 0.9)))
+    rows = draw(st.permutations(range(n + spare)))[:n]
+    return (block, model, device, make_dataset(features), rows,
+            draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 1.0)))
+
+
+class TestBlockBoundaries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_block_case())
+    def test_blocks_equal_reference_and_one_block(self, case):
+        block, model, device, data, rows, eps, delta = case
+        ref = _reference_pairs(model, device, data, rows)
+        one_block = fairness_scan(model, device, data, eps, delta, rows=rows)
+        floats = block * len(rows) * 2 ** data.features.shape[1]
+        with mock.patch.object(fairness, "_BLOCK_FLOATS", floats):
+            assert max(len(i) for i, *_ in _block_walk(model, device, data, rows)) == block
+            walked = _walked_pairs(model, device, data, rows)
+            blocked = fairness_scan(model, device, data, eps, delta, rows=rows)
+        assert walked == ref and list(walked) == list(ref)  # bitwise, in sorted-row order
+        assert blocked == one_block
+
+
+def test_cli_scan_simulates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return output_distribution(*args, **kwargs)
+
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(fairness, "output_distribution", counted)
+    assert main(["fairness-scan", str(REPO_CONFIG), "--split", "train"]) == 0
+    assert len(calls) == 1
 
 
 def test_toy4_scan_matches_golden_copy(tmp_path, monkeypatch):

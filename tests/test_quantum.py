@@ -230,3 +230,11 @@ class TestTotalVariation:
     def test_mismatched_spaces(self):
         with pytest.raises(ValueError):
             total_variation(np.array([1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_outcome_first_stacks_equal_each_pair_bitwise(self, rng, k):
+        a, b = rng.dirichlet(np.ones(k), size=3), rng.dirichlet(np.ones(k), size=5)
+        table = total_variation(a.T[:, :, None], b.T[:, None, :])
+        assert table.shape == (3, 5)
+        assert np.array_equal(table, [[total_variation(x, y) for y in b] for x in a])
+        assert np.array_equal(table, 0.5 * np.abs(a[:, None] - b[None]).sum(axis=-1))

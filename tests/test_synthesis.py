@@ -21,7 +21,9 @@ from qfairdeploy.synthesis import (
     OptimizerConfig,
     SynthesisError,
     SynthesisTemplate,
+    _cannot_fit,
     _cnot_rows,
+    _cut_singular_values,
     _forward,
     _placement_patterns,
     _u3_layers,
@@ -334,6 +336,84 @@ class TestGenerateCandidates:
         part = Partition(0, (0, 1, 2), c, circuit_unitary(c))
         cl = generate_candidates(part, 1e-3, k_max=1, opt=FAST, seed=10)
         assert min(c.cnots for c in cl.candidates) == 1
+
+
+def _template(draw, n: int, k_max: int = 4) -> SynthesisTemplate:
+    k = draw(st.integers(0, k_max)) if n > 1 else 0
+    return SynthesisTemplate(n, tuple(tuple(draw(st.permutations(range(n)))[:2]) for _ in range(k)))
+
+
+@st.composite
+def _prune_case(draw):
+    """A template on 1-3 qubits with 0-4 CNOTs, a budget, and a target that a
+    circuit of a source template (the same one half the time) reaches, or
+    misses by a random unitary step of 0.5-1.5 times the budget."""
+    n = draw(st.integers(1, 3))
+    template = _template(draw, n)
+    source = template if draw(st.booleans()) else _template(draw, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reached = circuit_unitary(source.realize(rng.uniform(0.0, 2.0 * math.pi, source.num_params)))
+    eps_syn = draw(st.sampled_from((1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.85)))
+    target = reached
+    if draw(st.booleans()):  # exp(i theta H), H traceless with unit mean-square eigenvalue
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        w, v = np.linalg.eigh(a + a.conj().T)
+        w -= w.mean()
+        theta = draw(st.floats(0.5, 1.5)) * eps_syn / max(math.sqrt(np.mean(w * w)), 1e-12)
+        target = reached @ (v * np.exp(1j * theta * w)) @ v.conj().T
+    return template, source, reached, target, eps_syn, draw(st.integers(0, 2**63 - 1))
+
+
+class TestPrune:
+    """`_cannot_fit` skips a fit only when no circuit of the template lies
+    within the budget, so every fit it skips would have returned None."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_prune_case())
+    def test_never_fires_within_budget_and_skipped_fits_fail(self, case):
+        template, source, reached, target, eps_syn, seed = case
+        pruned = _cannot_fit(template, _cut_singular_values(target), eps_syn)
+        if template == source and hs_distance(reached, target) <= eps_syn:
+            assert not pruned
+        if pruned:
+            assert fit_template(template, target[None], eps_syn, FAST, [spawn(seed, "fit")]) == [None]
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                angles = rng.uniform(0.0, 2.0 * math.pi, template.num_params)
+                assert hs_distance(circuit_unitary(template.realize(angles)), target) > eps_syn
+
+    def test_never_fires_on_a_reachable_target_at_tight_budgets(self, rng):
+        for n, placements in [(2, ()), (2, ((0, 1),)), (3, ((0, 1),)), (3, ((1, 2), (0, 1)))]:
+            template = SynthesisTemplate(n, placements)
+            for _ in range(20):
+                angles = rng.uniform(0.0, 2.0 * math.pi, template.num_params)
+                target = circuit_unitary(template.realize(angles))
+                for eps_syn in (1e-15, 1e-12, 1e-9):
+                    assert not _cannot_fit(template, _cut_singular_values(target), eps_syn)
+
+    def test_fires_on_entangling_targets_below_their_cnot_count(self):
+        # CNOT is out of reach without a CNOT, and SWAP with fewer than three
+        assert _cannot_fit(SynthesisTemplate(2, ()), _cut_singular_values(CNOT_U), 1e-2)
+        assert not _cannot_fit(SynthesisTemplate(2, ((0, 1),)), _cut_singular_values(CNOT_U), 1e-2)
+        swap = circuit_unitary(Circuit(2, (gate("cnot", 0, 1), gate("cnot", 1, 0), gate("cnot", 0, 1))))
+        for k in range(2):
+            assert _cannot_fit(SynthesisTemplate(2, ((0, 1),) * k), _cut_singular_values(swap), 1e-2)
+
+    def test_toy4_skips_only_rejected_fits(self):
+        # at seed 7, 10 of toy4's 24 (partition, template) fits are skipped:
+        # k = 0 on its 4 entangling blocks and k = 1 on all 6 blocks
+        cfg = load_config(CONFIG_DIR / "toy4.config")
+        parts = partition(load_model(cfg).circuit, cfg.s_blk)
+        skipped = 0
+        for part in parts:
+            svals = _cut_singular_values(part.target_unitary)
+            for k in range(cfg.k_max + 1 if len(part.qubits) > 1 else 1):
+                template = SynthesisTemplate(len(part.qubits), ((0, 1),) * k)
+                if _cannot_fit(template, svals, cfg.eps_syn):
+                    skipped += 1
+                    assert fit_template_alone(template, part.target_unitary, cfg.eps_syn, cfg.opt,
+                                              spawn(cfg.seed, "fit", part.index, k)) is None
+        assert skipped == 10
 
 
 class TestPlacementPatterns:
