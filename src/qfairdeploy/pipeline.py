@@ -272,6 +272,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"data.synthetic.rows must be >= 1, got {cfg.synthetic_rows}")
     if not 0.0 <= cfg.synthetic_flip <= 1.0:  # NaN fails too
         raise ConfigError(f"data.synthetic.flip must lie in [0, 1], got {cfg.synthetic_flip}")
+    if len(set(cfg.schemes)) != len(cfg.schemes):  # reports.csv needs one row per scheme
+        raise ConfigError(f"schemes lists a scheme twice: {','.join(cfg.schemes)}")
     for scheme in cfg.schemes:
         if scheme not in ("quest", "random") and not scheme.startswith("rl"):
             raise ConfigError(f"unknown scheme {scheme!r}")

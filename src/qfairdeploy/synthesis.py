@@ -8,7 +8,10 @@ forward sweep of prefix products and one backward sweep per step, whatever
 the angle count. Every block that shares a template is fitted in one lockstep
 batch: the starts of all its targets descend together as one numpy batch,
 each start against its own target, so one template costs one descent however
-many partitions use it.
+many partitions use it. A target is solved once any of its starts reaches the
+squared distance (eps_syn/10)^2, and all of its starts then leave the batch;
+that rule reads only the target's own starts, so each target still descends
+exactly as it would alone.
 """
 from __future__ import annotations
 
@@ -267,9 +270,13 @@ def fit_template(
     over the template's angles, all targets in one lockstep descent.
 
     Target i's opt.starts starts come from rngs[i], and each start descends
-    against its own target exactly as it would alone. Per target, returns
-    its best start's candidate if its independently recomputed distance is
-    within eps_syn, else None. Deterministic given the rng states.
+    against its own target exactly as it would alone. A start stops when its
+    step shrinks below MIN_STEP, and all of a target's starts stop once one
+    of them reaches f <= (eps_syn/10)^2: that target is solved. Per target,
+    returns its lowest-f start's candidate (for a solved target, the lowest
+    among the starts that crossed the threshold first) if its independently
+    recomputed distance is within eps_syn, else None. Deterministic given
+    the rng states.
     """
     if eps_syn <= 0.0:
         raise ValueError("eps_syn must be positive")
@@ -292,7 +299,8 @@ def fit_template(
     target_sq = (eps_syn / 10.0) ** 2
 
     for _ in range(opt.iterations):
-        active = np.flatnonzero((f > target_sq) & (lr > MIN_STEP))
+        solved = np.any(f.reshape(len(targets), opt.starts) <= target_sq, axis=1)
+        active = np.flatnonzero(~np.repeat(solved, opt.starts) & (lr > MIN_STEP))
         if not active.size:
             break
         prop = x[active] - lr[active, None] * grad[active]

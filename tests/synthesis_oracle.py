@@ -71,8 +71,9 @@ def fit_template_alone(
     rng: np.random.Generator,
 ) -> Candidate | None:
     """Minimize the unitary distance to one target over the template's
-    angles; the best start's candidate if its recomputed distance is within
-    eps_syn, else None."""
+    angles, stopping every start once one reaches (eps_syn/10)^2; the best
+    start's candidate if its recomputed distance is within eps_syn, else
+    None."""
     if eps_syn <= 0.0:
         raise ValueError("eps_syn must be positive")
     target = np.asarray(target, dtype=complex)
@@ -89,7 +90,9 @@ def fit_template_alone(
     target_sq = (eps_syn / 10.0) ** 2
 
     for _ in range(opt.iterations):
-        active = np.flatnonzero((f > target_sq) & (lr > MIN_STEP))
+        if np.any(f <= target_sq):  # solved: every start stops
+            break
+        active = np.flatnonzero(lr > MIN_STEP)
         if not active.size:
             break
         prop = x[active] - lr[active, None] * grad[active]

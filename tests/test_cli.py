@@ -102,6 +102,7 @@ _BAD_MODEL_AND_DATA = [
     "eval.r_twirls 0",
     "schemes quest,rl9",
     "schemes quest,greedy",
+    "schemes quest,rl3,rl3",  # two rl3 rows and one overwritten curves_rl3.csv
     "train.iteratons 5",
     "eval.twirls 4",
     "eps_syn 0",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfairdeploy import synthesis
 from qfairdeploy.circuits import Circuit
 from qfairdeploy.partition import Partition, partition, recombine
 from qfairdeploy.pipeline import load_config, load_model
@@ -182,6 +183,28 @@ class TestFitTemplate:
                          rngs=[spawn(7, "x")])[0]
         assert a.circuit.gates == b.circuit.gates
         assert a.distance == b.distance
+
+    def test_solved_target_leaves_the_batch(self, rng, monkeypatch):
+        # CNOT is solved by k = 1; a Haar target is not, and keeps descending
+        batches = []
+
+        def recording(num_qubits, cnot_rows, params, targets):
+            f, grad = _value_and_grad(num_qubits, cnot_rows, params, targets)
+            is_cnot = np.all(targets == CNOT_U, axis=(1, 2))
+            batches.append((is_cnot, f.copy()))  # fit_template updates the first f in place
+            return f, grad
+
+        monkeypatch.setattr(synthesis, "_value_and_grad", recording)
+        eps_syn = 1e-3
+        found = fit_template(SynthesisTemplate(2, ((0, 1),)),
+                             np.stack([CNOT_U, random_unitary(rng, 4)]), eps_syn, FAST,
+                             [spawn(8, "fit", i) for i in range(2)])
+        assert found[0] is not None and found[1] is None
+        solved_at = next(i for i, (is_cnot, f) in enumerate(batches)
+                         if np.any(f[is_cnot] <= (eps_syn / 10.0) ** 2))
+        later = batches[solved_at + 1:]
+        assert later and all(len(is_cnot) for is_cnot, _ in later)  # the Haar target goes on
+        assert not any(is_cnot.any() for is_cnot, _ in later)
 
     @pytest.mark.parametrize("targets, rngs", [
         (CNOT_U[None], []),  # one target, no rng
