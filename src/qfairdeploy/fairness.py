@@ -6,10 +6,13 @@ distributions. The empirical Lipschitz constant is the maximum output/input
 ratio over dataset pairs, a documented lower bound on the true constant.
 
 `fairness_scan` finds the bias pairs and the Lipschitz estimate in one
-walk over the pairs: all rows evolve as one batch, then each block of rows
-is compared against all later rows in one broadcast. The broadcast holds
-O(block * n * 2^q) floats for n rows and q qubits, and the block is sized
-so that stays near 1 MB; the n(n-1)/2 pair list is never built.
+walk over the pairs: the outputs of all rows evolve as one batch, then each
+block of rows is compared against all later rows in one broadcast. The
+encoded inputs are product states, so a pair's input overlap is a product
+of q per-qubit terms (`qnn.encoded_overlap`), not a sum over 2^q
+amplitudes. The broadcast holds a few (block, n) slabs for n rows, whatever
+q is, and the block is sized so they stay near 1 MB; the n(n-1)/2 pair list
+is never built.
 `find_bias_pairs` and `estimate_lipschitz` fold the same walk for one
 output each.
 
@@ -27,19 +30,21 @@ from pathlib import Path
 import numpy as np
 
 from .device import DeviceModel
-from .qnn import Dataset, QnnModel, encoded_states, output_distribution
+from .qnn import Dataset, QnnModel, encoded_halves, encoded_overlap, output_distribution
 # simulate_state: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
-from .quantum import simulate_state, total_variation, trace_distance_pure
+from .quantum import simulate_state, total_variation
 
 # Input distances at or below this count as identical encodings. It sits well
-# above the rounding floor of trace_distance_pure, which gives two identical
-# states a distance of up to 3.0e-8 at 4 qubits (4.2e-8 at 8, 3.3e-8 at 12):
-# sqrt(1 - overlap^2) turns an overlap one ulp below 1 into ~1.5e-8.
+# above the rounding floor of `_input_distance`: over 400,000 random rows, a
+# row against itself gave up to 2.1e-8 at 1 qubit, 3.7e-8 at 4, 4.5e-8 at 8
+# and 4.9e-8 at 12, as sqrt(1 - overlap^2) turns an overlap one ulp off 1
+# into ~1.5e-8.
 DEGENERATE_TOL = 1e-6
 
-# Floats in one block's broadcast product (block rows x n rows x 2^q): 1 MiB,
-# so a 4-qubit scan of 1,200 rows compares 6 rows per block, and a 12-qubit
-# one row at a time. Blocks of 4 to 32 rows run alike at 4 qubits.
+# Floats in the (block rows x n rows) slabs alive at once in one block's step,
+# about 8 of them (the overlap's running product and its two terms, the
+# outcome-first difference, the fold's masks and ratios): 1 MiB, so a scan of
+# 1,200 rows compares 13 rows per block at any qubit count.
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -59,30 +64,43 @@ class LipschitzEstimate:
     degenerate_pairs: int
 
 
+def _input_distance(a, b) -> np.ndarray:
+    """Trace distance sqrt(1 - o^2) between encoded inputs, o their
+    `encoded_overlap` from `encoded_halves` columns; elementwise, so a
+    block's distances are bitwise the ones a call per pair gives."""
+    overlap = encoded_overlap(a, b)
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
+
+
 def _block_walk(model: QnnModel, device: DeviceModel | None, data: Dataset, rows):
     """Walk every unordered pair of `rows` once, block by block of rows.
 
-    Encoded states and output distributions come as one batch each. A block
-    of rows then meets every row after its first in one broadcast call of
-    each metric, so each distance is bitwise the one a call per pair gives:
-    the overlaps take the same product and last-axis sum, and the
+    Per-qubit halves and output distributions come as one batch each. A
+    block of rows then meets every row after its first in one broadcast call
+    of each metric, so each distance is bitwise the one a call per pair
+    gives: the overlaps take the same per-qubit product, and the
     distributions, outcome-first, the same 2-term sum.
     Yields (i, j, later, d_in, d_out): the block's rows, the rows they meet,
     the mask of pairs with j after i, and the (block, len(j)) input and
-    output distances. Rows are walked in sorted order; all rows by default.
+    output distances. Rows are walked in sorted order; all rows by default,
+    else distinct indices into the dataset.
     """
-    rows = np.array(sorted(range(len(data.labels)) if rows is None else rows), dtype=int)
+    size = len(data.labels)
+    rows = np.array(sorted(range(size) if rows is None else rows))
     if len(rows) < 2:
         raise ValueError("need at least 2 rows")
-    states = encoded_states(data.features[rows])
+    if (rows.dtype.kind not in "iu" or rows[0] < 0 or rows[-1] >= size
+            or (rows[1:] == rows[:-1]).any()):
+        raise ValueError(f"rows must be distinct indices in [0, {size})")
+    halves = encoded_halves(data.features[rows])
     outcomes = output_distribution(model, data.features[rows], device).T.copy()
     n = len(rows)
-    block = max(1, _BLOCK_FLOATS // (n * states.shape[1]))
+    block = max(1, _BLOCK_FLOATS // (8 * n))
     for a in range(0, n - 1, block):
         mine, theirs = slice(a, a + block), slice(a + 1, n)
         later = np.arange(a + 1, n) > np.arange(a, min(a + block, n))[:, None]
         yield (rows[mine], rows[theirs], later,
-               trace_distance_pure(states[mine, None], states[theirs]),
+               _input_distance(halves[:, :, mine, None], halves[:, :, None, theirs]),
                total_variation(outcomes[:, mine, None], outcomes[:, None, theirs]))
 
 

@@ -1,6 +1,6 @@
 """Complex linear algebra for circuits: gate semantics, noiseless statevector
 evolution and full unitaries (both capped at 12 qubits), measurement, and the
-distance metrics used by the fairness analysis. Noise needs no density
+output distance the fairness analysis uses. Noise needs no density
 matrix: device.simulate_noisy mixes the statevector's Born-rule marginal with
 the uniform distribution in closed form.
 
@@ -148,23 +148,6 @@ def measure(state: np.ndarray, qubits) -> np.ndarray:
 
 
 # --- distances ----------------------------------------------------------------
-
-
-def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
-    """Trace distance between pure states: sqrt(1 - |<psi|phi>|^2).
-
-    Either may be a stack of states along the last axis, and the stacks
-    broadcast: `phi` of shape (m, d) gives the m distances from `psi` to each
-    of them, and `psi` of shape (b, 1, d) against it the (b, m) table.
-    """
-    psi, phi = np.asarray(psi), np.asarray(phi)
-    if psi.ndim == 0 or phi.shape[-1:] != psi.shape[-1:]:
-        raise ValueError("dimension mismatch in trace_distance_pure")
-    # product and sum rather than a matmul, and a product rather than ** 2
-    # (a scalar power goes through pow): a single state and a stack then
-    # round alike, so a pair's distance does not depend on how it was batched
-    overlap = np.abs((phi * psi.conj()).sum(axis=-1))
-    return np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
 
 
 def total_variation(d1: np.ndarray, d2: np.ndarray) -> float | np.ndarray:

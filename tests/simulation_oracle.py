@@ -9,7 +9,9 @@ module keeps the paths they replace: one noisy simulation of the encoded
 circuit per input row, readout confusion applied and mitigated; one noisy
 simulation per mirror circuit with the all-zeros survival converted into a
 rate; the mirror built as `Circuit`s, twirled one CNOT at a time, and
-layered by `accumulate_p`; and gate application through `np.tensordot`.
+layered by `accumulate_p`; gate application through `np.tensordot`; and
+the trace distance summed over two states' amplitudes, where the fairness
+walk multiplies the encoded inputs' per-qubit overlaps.
 """
 from __future__ import annotations
 
@@ -127,3 +129,14 @@ def estimate_p_by_simulation(circuit: Circuit, device: DeviceModel, r_twirls: in
         survival += float(dist[0])
     p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-n))
     return min(max(p_hat, 0.0), 1.0)
+
+
+def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
+    """Trace distance between pure states, sqrt(1 - |<psi|phi>|^2), from
+    the amplitudes. Either may be a stack of states along the last axis, and
+    the stacks broadcast."""
+    psi, phi = np.asarray(psi), np.asarray(phi)
+    if psi.ndim == 0 or phi.shape[-1:] != psi.shape[-1:]:
+        raise ValueError("dimension mismatch in trace_distance_pure")
+    overlap = np.abs((phi * psi.conj()).sum(axis=-1))
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))

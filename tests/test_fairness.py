@@ -13,6 +13,7 @@ from qfairdeploy.fairness import (
     DEGENERATE_TOL,
     BiasPair,
     _block_walk,
+    _input_distance,
     estimate_lipschitz,
     fairness_scan,
     fairness_score,
@@ -22,10 +23,20 @@ from qfairdeploy.fairness import (
     write_bias_pairs_csv,
     write_lipschitz_csv,
 )
-from qfairdeploy.qnn import Dataset, build_qnn, encoded_states, output_distribution, synthetic_dataset
+from qfairdeploy.qnn import (
+    Dataset,
+    build_qnn,
+    encoded_halves,
+    encoded_overlap,
+    encoded_states,
+    output_distribution,
+    synthetic_dataset,
+)
 from qfairdeploy.pipeline import OUTPUT_DIR_ENV
-from qfairdeploy.quantum import total_variation, trace_distance_pure
+from qfairdeploy.quantum import total_variation
 from qfairdeploy.toys import toy_device, toy_model
+
+from simulation_oracle import trace_distance_pure
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -241,9 +252,9 @@ def _reference_pairs(model, device, data, rows) -> dict:
     the row-by-row simulation. Each scalar call rounds as the walk's
     broadcast does, which `TestBlockBoundaries` checks bit for bit."""
     rows = sorted(range(len(data.labels)) if rows is None else rows)
-    states = dict(zip(rows, encoded_states(data.features[rows])))
+    halves = dict(zip(rows, np.moveaxis(encoded_halves(data.features[rows]), -1, 0)))
     dists = dict(zip(rows, output_distribution(model, data.features[rows], device)))
-    return {(i, j): (trace_distance_pure(states[i], states[j]), total_variation(dists[i], dists[j]))
+    return {(i, j): (_input_distance(halves[i], halves[j]), total_variation(dists[i], dists[j]))
             for i, j in itertools.combinations(rows, 2)}
 
 
@@ -315,13 +326,71 @@ class TestBlockBoundaries:
         block, model, device, data, rows, eps, delta = case
         ref = _reference_pairs(model, device, data, rows)
         one_block = fairness_scan(model, device, data, eps, delta, rows=rows)
-        floats = block * len(rows) * 2 ** data.features.shape[1]
+        floats = block * 8 * len(rows)
         with mock.patch.object(fairness, "_BLOCK_FLOATS", floats):
             assert max(len(i) for i, *_ in _block_walk(model, device, data, rows)) == block
             walked = _walked_pairs(model, device, data, rows)
             blocked = fairness_scan(model, device, data, eps, delta, rows=rows)
         assert walked == ref and list(walked) == list(ref)  # bitwise, in sorted-row order
         assert blocked == one_block
+
+
+def test_block_rows_do_not_depend_on_qubits(rng):
+    blocks = []
+    for d in (4, 12):
+        data = make_dataset(rng.uniform(0.0, 1.0, size=(200, d)))
+        i, *_ = next(_block_walk(build_qnn("c14", d, 0, []), None, data, None))
+        blocks.append(len(i))
+    assert blocks[0] == blocks[1] < 200
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 1], [-1, 0], [0, 5], [0.2, 1.9], [True, False]])
+def test_rows_must_be_distinct_indices(rows):
+    data = make_dataset(np.array([[0.1], [0.5], [0.9]]))
+    model = build_qnn("c14", 1, 0, [])
+    for scan in (lambda: fairness_scan(model, None, data, 0.5, 0.1, rows=rows),
+                 lambda: find_bias_pairs(model, None, data, 0.5, 0.1, rows=rows),
+                 lambda: estimate_lipschitz(model, None, data, rows=rows)):
+        with pytest.raises(ValueError, match="distinct indices"):
+            scan()
+
+
+# --- input distances from per-qubit overlaps against the amplitudes ------------
+
+
+@st.composite
+def _encoded_rows(draw):
+    """2-6 rows of 1-12 features; a row may repeat an earlier one, or repeat
+    it with one feature moved by at most 1e-4."""
+    d, features = draw(st.integers(1, 12)), []
+    for _ in range(draw(st.integers(2, 6))):
+        if features and draw(st.booleans()):
+            row = list(features[draw(st.integers(0, len(features) - 1))])
+            if draw(st.booleans()):
+                k = draw(st.integers(0, d - 1))
+                row[k] = min(1.0, row[k] + draw(st.floats(1e-9, 1e-4)))
+            features.append(row)
+        else:
+            features.append([draw(st.sampled_from((0.0, 0.5, 1.0))) if draw(st.booleans())
+                             else draw(st.floats(0.0, 1.0)) for _ in range(d)])
+    return np.array(features)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_encoded_rows())
+def test_product_overlaps_match_the_amplitudes(features):
+    halves = np.moveaxis(encoded_halves(features), -1, 0)
+    states = encoded_states(features)
+    for i, j in itertools.product(range(len(features)), repeat=2):
+        overlap = encoded_overlap(halves[i], halves[j])
+        assert overlap == pytest.approx(abs(states[i] @ states[j]), abs=1e-14)
+        d, ref = _input_distance(halves[i], halves[j]), trace_distance_pure(states[i], states[j])
+        if (features[i] == features[j]).all():
+            assert d < DEGENERATE_TOL
+        elif max(d, ref) > DEGENERATE_TOL:
+            # sqrt(1 - o^2) magnifies an overlap's last-ulp difference by
+            # about 1 / d: 1e-12 holds from d ~ 0.01, 4e-10 was seen at 1e-6
+            assert d == pytest.approx(ref, abs=1e-12 + 4e-15 / max(d, ref))
 
 
 def test_cli_scan_simulates_once(tmp_path, monkeypatch):

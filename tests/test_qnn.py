@@ -27,12 +27,18 @@ from qfairdeploy.qnn import (
     ring_edges,
     synthetic_dataset,
 )
-from qfairdeploy.quantum import simulate_state, trace_distance_pure, zero_state
+from qfairdeploy.quantum import simulate_state, zero_state
 from qfairdeploy.seeding import spawn
 from qfairdeploy.toys import toy_device, toy_model
 
 from conftest import gate
-from simulation_oracle import accuracy_by_rows, full_circuit, output_distribution_by_rows, predict
+from simulation_oracle import (
+    accuracy_by_rows,
+    full_circuit,
+    output_distribution_by_rows,
+    predict,
+    trace_distance_pure,
+)
 
 
 class TestEncode:

@@ -13,7 +13,6 @@ from qfairdeploy.quantum import (
     measure,
     simulate_state,
     total_variation,
-    trace_distance_pure,
     zero_state,
 )
 from qfairdeploy.seeding import spawn
@@ -21,7 +20,7 @@ from qfairdeploy.toys import toy_device
 
 from conftest import circuits, gate, random_circuit, random_state
 from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
-from simulation_oracle import evolve_by_tensordot
+from simulation_oracle import evolve_by_tensordot, trace_distance_pure
 
 
 def apply_gate(state, g):
