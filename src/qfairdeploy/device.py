@@ -15,9 +15,11 @@ channel applied once per execution regardless of circuit content. It exists
 to inject a known ground-truth rate in calibration and validation runs.
 
 Global depolarizing channels commute with every unitary, so noisy execution
-needs no density matrix: the measured marginal on k qubits is exactly
-(1 - P) |U psi|^2 + P / 2^k, computed from one statevector under the same
-12-qubit cap as the noiseless path.
+needs no density matrix: the measured distribution is exactly
+(1 - P) d + P / k over its k outcomes, d the noiseless one. `depolarized`
+is that rule; `simulate_noisy` applies it to the whole register's
+|U psi|^2, from one statevector under the same 12-qubit cap as the
+noiseless path, and `qnn.output_distribution` to the measured qubit.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .circuits import (
     inverse,
 )
 from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
-from .quantum import _CNOT, _FIXED_1Q, measure
+from .quantum import _CNOT, _FIXED_1Q
 from .seeding import spawn
 
 
@@ -69,7 +71,12 @@ class DeviceModel:
                 raise ValueError(f"edge error {r} outside [0, 1]")
         if not 0.0 <= self.uniform_depolarizing <= 1.0:
             raise ValueError("uniform_depolarizing outside [0, 1]")
+        for r in (*self.crosstalk.values(), self.crosstalk_default):
+            if not 0.0 <= r <= 1.0:  # NaN fails too
+                raise ValueError(f"crosstalk rate {r} outside [0, 1]")
         for q, m in self.readout_confusion.items():
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"readout qubit {q} outside the {self.num_qubits}-qubit register")
             if m.shape != (2, 2) or np.any(m < -1e-12):
                 raise ValueError(f"bad confusion matrix for qubit {q}")
             if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
@@ -210,27 +217,33 @@ def survival(p_total: float, device: DeviceModel) -> float:
     return (1.0 - p_total) * (1.0 - device.uniform_depolarizing)
 
 
+def depolarized(dist: np.ndarray, circuit: Circuit, device: DeviceModel) -> np.ndarray:
+    """The noisy-measurement rule: `dist`, noiseless and with its outcomes
+    on axis 0, becomes (1 - P) dist + P / k over its k outcomes, with
+    1 - P the circuit's `survival` on the device."""
+    survive = survival(accumulate_p(circuit, device).p_total, device)
+    return survive * dist + (1.0 - survive) / len(dist)
+
+
 # --- noisy simulation ------------------------------------------------------------
 
 
 def simulate_noisy(
     circuit: Circuit,
     device: DeviceModel,
-    qubits=None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Outcome distribution over `qubits` (default: all), starting from
-    |0...0>: (1 - P) |U psi|^2 + P / 2^k with 1 - P the circuit's `survival`,
-    then readout confusion over the measured qubits.
+    """Outcome distribution over the whole register, starting from
+    |0...0>: `depolarized` of the Born-rule |U psi|^2, then readout
+    confusion.
 
     Exact mode (shots=None) is deterministic; shot mode samples with the
     supplied rng. This is the package's one shot sampler.
     """
-    qubits = tuple(range(circuit.num_qubits)) if qubits is None else tuple(qubits)
-    survive = survival(accumulate_p(circuit, device).p_total, device)
-    probs = survive * measure(quantum.simulate_state(circuit), qubits) + (1.0 - survive) / 2 ** len(qubits)
-    probs = _apply_confusion(probs, device, qubits)
+    probs = np.abs(quantum.simulate_state(circuit)) ** 2
+    probs = depolarized(probs / probs.sum(), circuit, device)
+    probs = _apply_confusion(probs, device, circuit.num_qubits)
     if shots is None:
         return probs
     if shots < 1:
@@ -241,27 +254,28 @@ def simulate_noisy(
     return np.bincount(outcomes, minlength=probs.size) / float(shots)
 
 
-def _confusion_kernel(device: DeviceModel, qubits: tuple[int, ...]) -> np.ndarray:
-    """Matrix K with p_read = K p_true over the listed qubits."""
+def _confusion_kernel(device: DeviceModel, num_qubits: int) -> np.ndarray:
+    """Matrix K with p_read = K p_true over qubits 0..num_qubits-1."""
     k = np.ones((1, 1))
-    for q in qubits:
+    for q in range(num_qubits):
         k = np.kron(k, device.confusion(q).T)
     return k
 
 
-def _apply_confusion(probs: np.ndarray, device: DeviceModel, qubits: tuple[int, ...]) -> np.ndarray:
+def _apply_confusion(probs: np.ndarray, device: DeviceModel, num_qubits: int) -> np.ndarray:
     if not device.readout_confusion:
         return probs
-    return _confusion_kernel(device, qubits) @ probs
+    return _confusion_kernel(device, num_qubits) @ probs
 
 
-def mitigate_readout(dist: np.ndarray, device: DeviceModel, qubits) -> np.ndarray:
-    """Invert the tensor-product confusion matrix, clip negatives, renormalize."""
-    qubits = tuple(qubits)
+def mitigate_readout(dist: np.ndarray, device: DeviceModel) -> np.ndarray:
+    """Invert the tensor-product confusion matrix of a whole-register
+    distribution, clip negatives, renormalize."""
     dist = np.asarray(dist, dtype=float)
-    if dist.shape != (2 ** len(qubits),):
-        raise ValueError("distribution length does not match the qubit list")
-    corrected = np.linalg.solve(_confusion_kernel(device, qubits), dist)
+    num_qubits = dist.size.bit_length() - 1
+    if dist.shape != (2**num_qubits,):
+        raise ValueError("distribution length is not a power of 2")
+    corrected = np.linalg.solve(_confusion_kernel(device, num_qubits), dist)
     corrected = np.clip(corrected, 0.0, None)
     total = corrected.sum()
     if total <= 0.0:
@@ -301,17 +315,15 @@ def estimate_p(
         p_hat = sum(1.0 - survival(_mirror_p_total(est, spawn(seed, "twirl", t), device, memo), device)
                     for t in range(r_twirls)) / r_twirls
         return min(max(p_hat, 0.0), 1.0)
-    n = est.num_qubits
-    all_qubits = tuple(range(n))
     p0 = 0.0
     for t in range(r_twirls):
         twirled = randomized_compile(est, spawn(seed, "twirl", t))
-        dist = simulate_noisy(concat(twirled, inverse(twirled)), device, qubits=all_qubits,
+        dist = simulate_noisy(concat(twirled, inverse(twirled)), device,
                               shots=shots, rng=spawn(seed, "shots", t))
         if device.readout_confusion:
-            dist = mitigate_readout(dist, device, all_qubits)
+            dist = mitigate_readout(dist, device)
         p0 += float(dist[0])
-    p_hat = (1.0 - p0 / r_twirls) / (1.0 - 2.0 ** (-n))
+    p_hat = (1.0 - p0 / r_twirls) / (1.0 - 2.0 ** (-est.num_qubits))
     return min(max(p_hat, 0.0), 1.0)
 
 

@@ -22,7 +22,7 @@ from .agent import (
     save_curves,
     save_selections,
 )
-from .circuits import circuit_to_text, cnot_count, depth, save_circuit
+from .circuits import Circuit, circuit_to_text, cnot_count, depth, save_circuit
 # estimate_p: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
 from .device import (
     BUNDLED_DEVICES,
@@ -278,9 +278,13 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         if scheme not in ("quest", "random") and not scheme.startswith("rl"):
             raise ConfigError(f"unknown scheme {scheme!r}")
         cfg.scheme_weights(scheme)  # raises when an rl scheme has no weights
-    missing = [p for p in (cfg.params_path, cfg.data_csv, cfg.data_schema) if p and not Path(p).exists()]
+    missing = [p for p in (cfg.params_path, cfg.data_csv, cfg.data_schema) if p and not Path(p).is_file()]
     if missing:
-        raise ConfigError(f"referenced files do not exist: {missing}")
+        raise ConfigError(f"referenced files do not exist or are not files: {missing}")
+    out = Path(cfg.output_dir)
+    # a file on the path would fail its mkdir only once the stages have run
+    if not next(d for d in (out, *out.parents) if d.exists()).is_dir():
+        raise ConfigError(f"output_dir {cfg.output_dir} is not a directory")
     return cfg
 
 
@@ -294,7 +298,7 @@ def load_model(cfg: ExperimentConfig) -> QnnModel:
     try:
         params = load_params(cfg.params_path)
         return build_qnn(cfg.arch, cfg.num_qubits, cfg.layers, params, cfg.measure_qubit)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad model: {exc}") from exc
 
 
@@ -327,7 +331,7 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
         else:
             data = synthetic_dataset(cfg.synthetic_rows, cfg.num_qubits, cfg.seed,
                                      cfg.synthetic_flip)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad data: {exc}") from exc
     if data.num_features != cfg.num_qubits:  # the encoder puts feature k on qubit k
         raise ConfigError(f"bad data: rows of {data.num_features} features do not fit "
@@ -440,9 +444,8 @@ def read_report_json(path: str | Path) -> list[DeploymentReport]:
 
 
 def _evaluate_selections(
-    env: DeploymentEnv, selections: tuple[int, ...], cfg: ExperimentConfig, scheme: str,
+    env: DeploymentEnv, selections: tuple[int, ...], deployed: Circuit, cfg: ExperimentConfig, scheme: str,
 ) -> DeploymentReport:
-    deployed = env.deployed_circuit(selections)
     reward = env.reward(selections)
     acc, p_hat = env.evaluate(selections)
     return DeploymentReport(
@@ -501,11 +504,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
             save_curves(result, out_dir / f"curves_{scheme}.csv")
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
-        report = stage(f"evaluate-{scheme}", lambda: _evaluate_selections(env, selections, cfg, scheme))
+        deployed = stage(f"evaluate-{scheme}", lambda: env.deployed_circuit(selections))
+        report = stage(f"evaluate-{scheme}",
+                       lambda: _evaluate_selections(env, selections, deployed, cfg, scheme))
         report = replace(report, wall_time=time.perf_counter() - started)
         reports.append(report)
         save_selections(selections, out_dir / f"selections_{scheme}.txt")
-        save_circuit(env.deployed_circuit(selections), out_dir / f"deployed_{scheme}.qc")
+        save_circuit(deployed, out_dir / f"deployed_{scheme}.qc")
 
     emit_report(reports, "csv", out_dir / "reports.csv")
     emit_report(reports, "json", out_dir / "reports.json")

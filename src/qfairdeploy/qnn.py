@@ -1,5 +1,6 @@
-"""QNN classifier construction and evaluation: angle encoder, the four
-variational ansatz families, tabular dataset ingestion, and noisy accuracy.
+"""QNN classifier construction and evaluation: angle encoder, the
+variational ansatz (an RZZ ring for c14, qmlp and dac22, a CNOT ring for
+date22), tabular dataset ingestion, and noisy accuracy.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
 # simulate_noisy, simulate_state: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
-from .device import DeviceModel, accumulate_p, simulate_noisy, survival
+from .device import DeviceModel, depolarized, simulate_noisy
 from .quantum import evolve, simulate_state
 from .seeding import spawn
 
@@ -215,15 +216,12 @@ def encoded_states(features) -> np.ndarray:
     """The states `encode` prepares from |0...0>, one row per feature row:
     the product over qubits k of (cos(pi x_k / 2), sin(pi x_k / 2)), qubit 0
     the most significant. Real, shape (rows, 2^features)."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or not len(x):
-        raise ValueError("features must be a non-empty rows x d matrix")
-    _check_features(x)
-    half = 0.5 * math.pi * x
-    states = np.ones((x.shape[0], 1))
-    for k in range(x.shape[1]):
-        qubit = np.stack([np.cos(half[:, k]), np.sin(half[:, k])], axis=1)
-        states = (states[:, :, None] * qubit[:, None, :]).reshape(x.shape[0], -1)
+    # rows x features x (cos, sin), each pair adjacent in memory
+    qubits = np.ascontiguousarray(encoded_halves(features).transpose(2, 1, 0))
+    rows = len(qubits)
+    states = np.ones((rows, 1))
+    for k in range(qubits.shape[1]):
+        states = (states[:, :, None] * qubits[:, k, None, :]).reshape(rows, -1)
     return states
 
 
@@ -289,9 +287,9 @@ def build_qnn(
 def output_distribution(model: QnnModel, features, device: DeviceModel | None) -> np.ndarray:
     """The measured qubit's distribution for each row of a rows x d feature
     matrix, shape (rows, 2), from one batched evolution. On a device each
-    row becomes (1 - P) d + P / 2 with 1 - P the ansatz's `survival`: one P
-    serves every row, as the encoded circuits differ only in their angles,
-    and exact readout mitigation cancels the confusion, so it is left out.
+    row is `depolarized` by the ansatz: one P serves every row, as the
+    encoded circuits differ only in their angles, and exact readout
+    mitigation cancels the confusion, so it is left out.
     p_total is the ansatz's own: the encoder's RYs fill layer 0 on every
     qubit, so they shift each 2-qubit layer by one and change no rate."""
     n, q = model.num_qubits, model.measure_qubit
@@ -300,11 +298,10 @@ def output_distribution(model: QnnModel, features, device: DeviceModel | None) -
         raise ValueError(f"rows of {np.shape(features)[1]} features do not fit {n} qubits")
     probs = np.abs(evolve(model.circuit, psi.T)) ** 2
     marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(psi)).sum(axis=(0, 2))
-    dist = (marginal / marginal.sum(axis=0)).T
+    dist = marginal / marginal.sum(axis=0)
     if device is not None:
-        survive = survival(accumulate_p(model.circuit, device).p_total, device)
-        dist = survive * dist + (1.0 - survive) / 2
-    return dist
+        dist = depolarized(dist, model.circuit, device)
+    return dist.T
 
 
 def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | None) -> float:

@@ -1,8 +1,8 @@
 """Complex linear algebra for circuits: gate semantics, noiseless statevector
-evolution and full unitaries (both capped at 12 qubits), measurement, and the
-output distance the fairness analysis uses. Noise needs no density
-matrix: device.simulate_noisy mixes the statevector's Born-rule marginal with
-the uniform distribution in closed form.
+evolution and full unitaries (both capped at 12 qubits), and the output
+distance the fairness analysis uses. Noise needs no density matrix:
+device.simulate_noisy mixes the statevector's Born-rule distribution over the
+whole register with the uniform distribution in closed form.
 
 All functions are pure; arrays returned are freshly allocated. Basis-index
 convention follows circuits.py (qubit 0 = most significant bit).
@@ -106,45 +106,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary of the circuit (right-to-left product of gate matrices)."""
     _check_cap(circuit)
     return evolve(circuit, np.eye(2**circuit.num_qubits, dtype=complex))
-
-
-# --- measurement -------------------------------------------------------------
-
-
-def _marginal(probs_full: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Marginal over `qubits`, outcome bits ordered as listed (first = MSB)."""
-    t = probs_full.reshape([2] * num_qubits)
-    keep = list(qubits)
-    drop = tuple(i for i in range(num_qubits) if i not in keep)
-    if drop:
-        t = t.sum(axis=drop)
-    # after summing, remaining axes are the kept qubits in ascending order
-    order = [sorted(keep).index(q) for q in keep]
-    return t.transpose(order).reshape(-1)
-
-
-def _check_qubit_subset(qubits, num_qubits) -> tuple[int, ...]:
-    qs = tuple(qubits)
-    if not qs:
-        raise ValueError("empty qubit list")
-    if len(set(qs)) != len(qs) or any(q < 0 or q >= num_qubits for q in qs):
-        raise ValueError(f"invalid qubit subset {qs} for {num_qubits} qubits")
-    return qs
-
-
-def measure(state: np.ndarray, qubits) -> np.ndarray:
-    """Exact Born-rule distribution of a statevector over the listed qubits.
-    Shot sampling happens in one place, device.simulate_noisy."""
-    state = np.asarray(state)
-    if state.ndim != 1:
-        raise ValueError("state must be a statevector")
-    n = int(round(math.log2(state.shape[0])))
-    probs_full = np.abs(state) ** 2
-    qs = _check_qubit_subset(qubits, n)
-    probs = _marginal(probs_full, qs, n)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return probs
 
 
 # --- distances ----------------------------------------------------------------

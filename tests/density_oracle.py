@@ -1,13 +1,14 @@
 """Density-matrix reference for the noise model, used only by the tests.
 
-The program evaluates noisy circuits in closed form, (1 - P) |U psi|^2 + P/2^k
-(device.simulate_noisy). This module keeps the direct construction it
-replaces: evolve rho gate by gate, depolarize after every 2-qubit layer and
-once more for the device's uniform channel, read the diagonal, then apply the
-Kronecker readout-confusion kernel. Gates act through their full embedded
-unitary, so nothing here shares the statevector's tensor contraction, and the
-layers and their rates come from the oracle's own rules below, not from the
-program's `asap` and `_layer_rates`.
+The program evaluates noisy circuits in closed form, (1 - P) |U psi|^2 + P/2^n
+over the whole n-qubit register (device.simulate_noisy). This module keeps
+the direct construction it replaces: evolve rho gate by gate, depolarize
+after every 2-qubit layer and once more for the device's uniform channel,
+read the diagonal, then apply the Kronecker readout-confusion kernel. Gates
+act through their full embedded unitary, so nothing here shares the
+statevector's tensor contraction, and the layers and their rates come from
+the oracle's own rules below, not from the program's `asap` and
+`_layer_rates`.
 """
 from __future__ import annotations
 
@@ -102,8 +103,8 @@ def measure_density(rho: np.ndarray, qubits) -> np.ndarray:
     return t.transpose([sorted(qubits).index(q) for q in qubits]).reshape(-1)
 
 
-def simulate_noisy_density(circuit: Circuit, device: DeviceModel, qubits) -> np.ndarray:
-    """Exact noisy outcome distribution over `qubits`, built the long way."""
+def simulate_noisy_density(circuit: Circuit, device: DeviceModel) -> np.ndarray:
+    """Exact noisy outcome distribution over the whole register, built the long way."""
     n = circuit.num_qubits
     rho = pure_density(zero_state(n))
     for gates in layers(circuit):
@@ -115,6 +116,6 @@ def simulate_noisy_density(circuit: Circuit, device: DeviceModel, qubits) -> np.
     rho = depolarize(rho, device.uniform_depolarizing)
     validate_density(rho)
     kernel = np.ones((1, 1))
-    for q in qubits:
+    for q in range(n):
         kernel = np.kron(kernel, device.confusion(q).T)
-    return kernel @ measure_density(rho, qubits)
+    return kernel @ measure_density(rho, range(n))

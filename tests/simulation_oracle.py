@@ -1,12 +1,14 @@
 """Row-by-row simulation references for the closed forms, used only by the tests.
 
 `qnn.output_distribution` (and so `qnn.accuracy` and the fairness scan)
-evolves all rows as one batch and applies the noise as the map
-d -> (1 - P) d + P / 2, with P from the ansatz alone;
+evolves all rows as one batch, marginalises onto the measured qubit and
+applies the noise as the map d -> (1 - P) d + P / 2, with P from the
+ansatz alone;
 `device.estimate_p(shots=None)` turns each twirled mirror's layer rates into
 its survival directly, layering the mirror's qubit tuples with no `Circuit`. This
 module keeps the paths they replace: one noisy simulation of the encoded
-circuit per input row, readout confusion applied and mitigated; one noisy
+circuit's whole register per input row, readout confusion applied and
+mitigated, then the measured qubit's marginal; one noisy
 simulation per mirror circuit with the all-zeros survival converted into a
 rate; the mirror built as `Circuit`s, twirled one CNOT at a time, and
 layered by `accumulate_p`; gate application through `np.tensordot`; and
@@ -28,7 +30,7 @@ from qfairdeploy.device import (
     simulate_noisy,
 )
 from qfairdeploy.qnn import Dataset, QnnModel, encode
-from qfairdeploy.quantum import gate_matrix, measure, simulate_state
+from qfairdeploy.quantum import gate_matrix, simulate_state
 from qfairdeploy.seeding import spawn
 
 
@@ -87,14 +89,18 @@ def estimate_p_by_mirror_circuits(circuit: Circuit, device: DeviceModel, r_twirl
 
 def output_distribution_by_rows(model: QnnModel, x, device: DeviceModel | None) -> np.ndarray:
     """Distribution over the measured qubit for one feature row: the encoded
-    circuit simulated on its own; on a device, noisy and readout-mitigated."""
+    circuit simulated on its own; on a device, noisy and readout-mitigated
+    over the whole register; then summed by the measured qubit's bit."""
     circuit = full_circuit(model, x)
     if device is None:
-        return measure(simulate_state(circuit), (model.measure_qubit,))
-    dist = simulate_noisy(circuit, device, qubits=(model.measure_qubit,))
-    if device.readout_confusion:
-        dist = mitigate_readout(dist, device, (model.measure_qubit,))
-    return dist
+        dist = np.abs(simulate_state(circuit)) ** 2
+    else:
+        dist = simulate_noisy(circuit, device)
+        if device.readout_confusion:
+            dist = mitigate_readout(dist, device)
+    bit = (np.arange(dist.size) >> (circuit.num_qubits - 1 - model.measure_qubit)) & 1  # qubit 0 = MSB
+    marginal = np.bincount(bit, weights=dist, minlength=2)
+    return marginal / marginal.sum()
 
 
 def predict(model: QnnModel, x, device: DeviceModel | None) -> tuple[int, float]:
@@ -118,16 +124,14 @@ def estimate_p_by_simulation(circuit: Circuit, device: DeviceModel, r_twirls: in
     """Exact-mode p: simulate each twirled mirror, mitigate readout, and
     convert the mean all-zeros survival P0 into p = (1 - P0) / (1 - 2^-n)."""
     est = estimation_circuit(circuit)
-    n = est.num_qubits
-    all_qubits = tuple(range(n))
     survival = 0.0
     for t in range(r_twirls):
         twirled = randomized_compile_by_gate(est, spawn(seed, "twirl", t))
-        dist = simulate_noisy(concat(twirled, inverse(twirled)), device, qubits=all_qubits)
+        dist = simulate_noisy(concat(twirled, inverse(twirled)), device)
         if device.readout_confusion:
-            dist = mitigate_readout(dist, device, all_qubits)
+            dist = mitigate_readout(dist, device)
         survival += float(dist[0])
-    p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-n))
+    p_hat = (1.0 - survival / r_twirls) / (1.0 - 2.0 ** (-est.num_qubits))
     return min(max(p_hat, 0.0), 1.0)
 
 

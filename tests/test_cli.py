@@ -78,6 +78,21 @@ def test_output_dir_env_override(toy_config, tmp_path, monkeypatch, capsys):
     assert (alt / "cache").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "config-below", "env"])
+@pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
+def test_output_dir_on_a_file_exits_2_before_synthesis(toy_config, tmp_path, monkeypatch, capsys, verb, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if where == "env":
+        monkeypatch.setenv("QFAIRDEPLOY_OUTPUT_DIR", str(taken))
+    else:
+        below = "/out" if where == "config-below" else ""
+        toy_config.write_text(toy_config.read_text() + f"output_dir {taken}{below}\n")
+    assert main([verb, str(toy_config)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 # values the model or the data builder refuses, which every verb must report as config errors
 _BAD_MODEL_AND_DATA = [
     "model.measure_qubit 7",
@@ -87,6 +102,9 @@ _BAD_MODEL_AND_DATA = [
     "data.synthetic.rows -3",
     "data.synthetic.flip 2",
     "data.schema missing.schema",
+    "model.params .",  # a directory, not a file
+    "data.schema .",
+    "data.csv .",
 ]
 
 
@@ -211,6 +229,26 @@ def test_device_line_with_wrong_field_count_exits_2(toy_config, tmp_path, capsys
     assert main([verb, str(toy_config), "--device", str(device)]) == 2
     err = capsys.readouterr().err
     assert "bad device file" in err and repr(line) in err
+    assert not (tmp_path / "out" / "cache").exists()
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("line", [
+    "crosstalk 0 1 2 3 nan",
+    "crosstalk 0 1 2 3 -0.1",
+    "crosstalk 0 1 2 3 1.5",
+    "crosstalk_default 1.5",
+    "crosstalk_default nan",
+    "readout 14 0.01 0.01",  # ring14's qubits are 0..13
+    "readout -1 0.01 0.01",
+])
+@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+def test_device_value_out_of_range_exits_2(toy_config, tmp_path, capsys, verb, line):
+    text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()
+    device = tmp_path / "ring14-bad.device"
+    device.write_text(text + line + "\n")
+    assert main([verb, str(toy_config), "--device", str(device)]) == 2
+    assert "bad device file" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()
     assert not list(tmp_path.glob("out/*.csv"))
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from qfairdeploy.device import (
     UnroutedGateError,
     accumulate_p,
     bundled_device,
+    depolarized,
     estimate_p,
     estimation_circuit,
     load_device,
@@ -23,7 +25,7 @@ from qfairdeploy.device import (
     randomized_compile,
     simulate_noisy,
 )
-from qfairdeploy.quantum import circuit_unitary, measure, simulate_state
+from qfairdeploy.quantum import circuit_unitary, simulate_state
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import hs_distance
 from qfairdeploy.toys import toy_device, toy_model
@@ -155,7 +157,7 @@ class TestSimulateNoisy:
         dev = toy_device(3, edge_error=0.0)
         c = random_circuit(rng, 3, 10)
         noisy = simulate_noisy(c, dev)
-        exact = measure(simulate_state(c), (0, 1, 2))
+        exact = np.abs(simulate_state(c)) ** 2
         np.testing.assert_allclose(noisy, exact, atol=1e-9)
 
     def test_readout_confusion_only(self):
@@ -203,8 +205,8 @@ _angle = st.floats(0.0, 2 * np.pi)
 
 @st.composite
 def _noisy_case(draw):
-    """A random circuit on 1..5 qubits, a fully coupled device with random
-    edge, crosstalk, uniform and readout rates, and a measured subset."""
+    """A random circuit on 1..5 qubits and a fully coupled device with random
+    edge, crosstalk, uniform and readout rates."""
     n = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
@@ -233,17 +235,25 @@ def _noisy_case(draw):
         readout_confusion=confusion,
         uniform_depolarizing=draw(st.floats(0.0, 1.0)),
     )
-    qubits = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
-    return Circuit(n, tuple(gates)), device, qubits
+    return Circuit(n, tuple(gates)), device
 
 
 class TestClosedFormOracle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_noisy_case())
     def test_matches_density_oracle(self, case):
-        circuit, device, qubits = case
-        np.testing.assert_allclose(simulate_noisy(circuit, device, qubits=qubits),
-                                   simulate_noisy_density(circuit, device, qubits), rtol=0, atol=1e-12)
+        circuit, device = case
+        np.testing.assert_allclose(simulate_noisy(circuit, device),
+                                   simulate_noisy_density(circuit, device), rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_noisy_case())
+    def test_is_the_depolarized_born_rule(self, case):
+        # without readout confusion, simulate_noisy is the one rule applied to |psi|^2
+        circuit, device = case
+        device = replace(device, readout_confusion={})
+        probs = np.abs(simulate_state(circuit)) ** 2
+        assert np.array_equal(simulate_noisy(circuit, device), depolarized(probs / probs.sum(), circuit, device))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -333,14 +343,14 @@ class TestMitigateReadout:
     def test_identity_confusion_unchanged(self):
         dev = toy_device(1)
         dist = np.array([0.7, 0.3])
-        np.testing.assert_allclose(mitigate_readout(dist, dev, (0,)), dist, atol=1e-12)
+        np.testing.assert_allclose(mitigate_readout(dist, dev), dist, atol=1e-12)
 
     def test_hand_inverse(self):
         dev = DeviceModel(
             name="t", num_qubits=1, cnot_error={},
             readout_confusion={0: np.array([[0.98, 0.02], [0.03, 0.97]])},
         )
-        out = mitigate_readout(np.array([0.98, 0.02]), dev, (0,))
+        out = mitigate_readout(np.array([0.98, 0.02]), dev)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_symmetric_confusion_fixes_uniform(self):
@@ -348,7 +358,7 @@ class TestMitigateReadout:
             name="t", num_qubits=1, cnot_error={},
             readout_confusion={0: np.array([[0.9, 0.1], [0.1, 0.9]])},
         )
-        out = mitigate_readout(np.array([0.5, 0.5]), dev, (0,))
+        out = mitigate_readout(np.array([0.5, 0.5]), dev)
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
     def test_round_trip_with_simulation(self):
@@ -359,9 +369,14 @@ class TestMitigateReadout:
         )
         c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("cnot", 0, 1)))
         raw = simulate_noisy(c, dev)
-        fixed = mitigate_readout(raw, dev, (0, 1))
-        ideal = measure(simulate_state(c), (0, 1))
+        fixed = mitigate_readout(raw, dev)
+        ideal = np.abs(simulate_state(c)) ** 2
         np.testing.assert_allclose(fixed, ideal, atol=1e-9)
+
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_length_not_a_power_of_two(self, length):
+        with pytest.raises(ValueError, match="power of 2"):
+            mitigate_readout(np.full(length, 1.0), toy_device(2))
 
     def test_singular_confusion(self):
         # mitigation could not invert it, so the device is refused when built
@@ -375,10 +390,9 @@ class TestMitigateReadout:
         # the 256 x 256 kernel's determinant is ~1e-21, yet each 2 x 2 factor is well conditioned
         dev = bundled_device("ring14")
         c = toy_model(8).circuit
-        qubits = tuple(range(8))
         survive = (1.0 - accumulate_p(c, dev).p_total) * (1.0 - dev.uniform_depolarizing)
-        closed = survive * measure(simulate_state(c), qubits) + (1.0 - survive) / 256
-        fixed = mitigate_readout(simulate_noisy(c, dev, qubits=range(8)), dev, qubits)
+        closed = survive * np.abs(simulate_state(c)) ** 2 + (1.0 - survive) / 256
+        fixed = mitigate_readout(simulate_noisy(c, dev), dev)
         np.testing.assert_allclose(fixed, closed, rtol=0, atol=1e-12)
         assert 0.0 <= estimate_p(c, dev, r_twirls=4, shots=None) <= 1.0
 
@@ -431,7 +445,7 @@ class TestEstimateP:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_noisy_case(), st.integers(1, 4), st.integers(0, 2**31))
     def test_closed_form_matches_simulated_mirrors(self, case, r_twirls, seed):
-        circuit, device, _ = case
+        circuit, device = case
         assert estimate_p(circuit, device, r_twirls=r_twirls, shots=None, seed=seed) == pytest.approx(
             estimate_p_by_simulation(circuit, device, r_twirls, seed), abs=1e-12)
 

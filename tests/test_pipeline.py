@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qfairdeploy.pipeline import (
     baseline_random,
     emit_report,
     load_config,
+    load_data,
     load_model,
     read_report_json,
     run_experiment,
@@ -97,6 +99,14 @@ class TestConfig:
         p.write_text("model.arch c14\nmodel.qubits 2\nmodel.params nope.txt\ndevice ring14\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_unreadable_model_or_data_file_is_config_error(self, tmp_path):
+        # a path that passed load_config but cannot be read when its stage loads it
+        cfg = load_config(REPO_CONFIG)
+        with pytest.raises(ConfigError, match="bad model"):
+            load_model(replace(cfg, params_path=str(tmp_path)))
+        with pytest.raises(ConfigError, match="bad data"):
+            load_data(replace(cfg, data_csv=str(tmp_path), data_schema=str(tmp_path)))
 
     def test_override_changes_hash(self):
         a = load_config(REPO_CONFIG)
@@ -243,7 +253,7 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
     cfg = load_config(REPO_CONFIG, {"schemes": "quest,random,rl1,rl2,rl3,rl4,rl5",
                                     "train.iterations": "12"})
     calls = {"accuracy": 0, "estimate_p": 0}
-    selections, stepped, unitaries = set(), [], []
+    selections, stepped, unitaries, deployed = set(), [], [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,15 +273,21 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
         unitaries.append(circuit)
         return _orig(circuit)
 
+    def deployed_circuit(self, sel, _orig=DeploymentEnv.deployed_circuit):
+        deployed.append(sel)
+        return _orig(self, sel)
+
     for name in calls:
         monkeypatch.setattr(agent, name, counted(name, getattr(agent, name)))
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     monkeypatch.setattr(agent, "circuit_unitary", circuit_unitary)
     monkeypatch.setattr(DeploymentEnv, "reward", reward)
     monkeypatch.setattr(DeploymentEnv, "step", step)
+    monkeypatch.setattr(DeploymentEnv, "deployed_circuit", deployed_circuit)
 
     run_experiment(cfg)
     assert calls == {"accuracy": len(selections), "estimate_p": len(selections)}
+    assert len(deployed) == len(selections) + 7  # one per evaluation, then one per reported scheme
     assert len({id(env) for env in stepped}) == 5  # one env per rl scheme steps
     assert unitaries == []
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, cnot_count
-from qfairdeploy.device import DeviceModel, accumulate_p, bundled_device
+from qfairdeploy.device import DeviceModel, accumulate_p, bundled_device, depolarized
 from qfairdeploy.partition import partition, recombine
 from qfairdeploy.qnn import (
     ARCHS,
@@ -258,6 +258,15 @@ class TestOutputDistribution:
         model, features, device = case
         expected = np.stack([output_distribution_by_rows(model, x, device) for x in features])
         np.testing.assert_allclose(output_distribution(model, features, device), expected, rtol=0, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_distribution_case())
+    def test_device_noise_is_the_depolarized_noiseless_distribution(self, case):
+        model, features, device = case
+        device = device or toy_device(model.num_qubits)
+        noiseless = output_distribution(model, features, None)
+        assert np.array_equal(output_distribution(model, features, device),
+                              depolarized(noiseless.T, model.circuit, device).T)
 
     @pytest.mark.parametrize("seed, measure_qubit", [(0, 0), (1, 3), (2, 7)])
     def test_eight_qubits_on_ring14_match_oracle(self, seed, measure_qubit):

@@ -10,7 +10,6 @@ from qfairdeploy.device import simulate_noisy
 from qfairdeploy.quantum import (
     circuit_unitary,
     evolve,
-    measure,
     simulate_state,
     total_variation,
     zero_state,
@@ -174,38 +173,25 @@ class TestTraceDistance:
 
 
 class TestMeasure:
+    # measurement happens in one place, simulate_noisy; on a zero-error
+    # device its exact law is the Born rule |psi|^2
+
     def test_zero_state_exact(self):
-        np.testing.assert_allclose(measure(zero_state(1), (0,)), [1.0, 0.0], atol=1e-12)
+        dist = simulate_noisy(Circuit(1), toy_device(1, edge_error=0.0))
+        np.testing.assert_allclose(dist, [1.0, 0.0], atol=1e-12)
 
     def test_plus_state_exact(self):
-        plus = np.array([1, 1]) / math.sqrt(2)
-        np.testing.assert_allclose(measure(plus, (0,)), [0.5, 0.5], atol=1e-12)
+        plus = Circuit(1, (gate("ry", 0, params=(math.pi / 2,)),))
+        dist = simulate_noisy(plus, toy_device(1, edge_error=0.0))
+        np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
     def test_diagonal_density_matrix(self):
         np.testing.assert_allclose(measure_density(np.diag([0.95, 0.05]), (0,)), [0.95, 0.05], atol=1e-12)
-        with pytest.raises(ValueError):
-            measure(np.diag([0.95, 0.05]), (0,))  # statevectors only
-
-    def test_marginal_subset_and_order(self):
-        state = np.zeros(4, dtype=complex)
-        state[2] = 1.0  # |10>
-        np.testing.assert_allclose(measure(state, (0,)), [0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(measure(state, (1,)), [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(measure(state, (1, 0)), [0, 1, 0, 0], atol=1e-12)  # q1 is MSB here
-
-    def test_invalid_qubits(self):
-        with pytest.raises(ValueError):
-            measure(zero_state(2), (0, 0))
-        with pytest.raises(ValueError):
-            measure(zero_state(2), (5,))
-
-    # shots are sampled in one place, simulate_noisy; on a zero-error device
-    # its exact law is the Born-rule marginal that measure returns
 
     def test_sampling_consistency(self, rng):
         # 1e5 seeded shots stay within 0.02 total variation of the exact law
         circuit = random_circuit(rng, 3, 12)
-        exact = measure(simulate_state(circuit), (0, 1, 2))
+        exact = np.abs(simulate_state(circuit)) ** 2
         empirical = simulate_noisy(circuit, toy_device(3, edge_error=0.0),
                                    shots=100_000, rng=spawn(9, "shots"))
         assert total_variation(empirical, exact) < 0.02
