@@ -6,9 +6,9 @@ error rates plus a crosstalk term for each pair of its edges. Concurrent
 gates never share a qubit, so only an explicit `crosstalk` pair can add to
 a layer; the `crosstalk_default` of edges sharing a qubit never does. Every
 rate goes through `_layer_rates`, and every run keeps `survival` of the
-noiseless distribution. Readout error is a
-per-qubit confusion matrix applied to the measured distribution; it is kept
-out of the gate-error model and undone by `mitigate_readout`.
+noiseless distribution. Readout error is a per-qubit 2 x 2 confusion
+matrix, applied on its qubit's axis of the measured distribution and undone
+there by `mitigate_readout`; it is kept out of the gate-error model.
 
 A device may also declare `uniform_depolarizing`: a single depolarizing
 channel applied once per execution regardless of circuit content. It exists
@@ -41,7 +41,7 @@ from .circuits import (
     inverse,
 )
 from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
-from .quantum import _CNOT, _FIXED_1Q
+from .quantum import _CNOT, _FIXED_1Q, _apply_matrix
 from .seeding import spawn
 
 
@@ -81,13 +81,9 @@ class DeviceModel:
                 raise ValueError(f"bad confusion matrix for qubit {q}")
             if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError(f"confusion rows for qubit {q} do not sum to 1")
-            # mitigation inverts the Kronecker product of these factors
+            # mitigation applies the per-factor inverse
             if abs(np.linalg.det(m)) < 1e-12:
                 raise ValueError(f"singular readout confusion matrix for qubit {q}")
-
-    def confusion(self, qubit: int) -> np.ndarray:
-        """Row-stochastic P[read r | true t]; identity when unlisted."""
-        return self.readout_confusion.get(qubit, np.eye(2))
 
     def crosstalk_rate(self, e1: tuple[int, int], e2: tuple[int, int]) -> float:
         key = frozenset((_edge(*e1), _edge(*e2)))
@@ -235,15 +231,14 @@ def simulate_noisy(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Outcome distribution over the whole register, starting from
-    |0...0>: `depolarized` of the Born-rule |U psi|^2, then readout
-    confusion.
+    |0...0>: `depolarized` of the Born-rule |U psi|^2, then each listed
+    qubit's readout confusion on its own axis (`_readout`).
 
     Exact mode (shots=None) is deterministic; shot mode samples with the
     supplied rng. This is the package's one shot sampler.
     """
     probs = np.abs(quantum.simulate_state(circuit)) ** 2
-    probs = depolarized(probs / probs.sum(), circuit, device)
-    probs = _apply_confusion(probs, device, circuit.num_qubits)
+    probs = _readout(depolarized(probs / probs.sum(), circuit, device), device, undo=False)
     if shots is None:
         return probs
     if shots < 1:
@@ -254,29 +249,26 @@ def simulate_noisy(
     return np.bincount(outcomes, minlength=probs.size) / float(shots)
 
 
-def _confusion_kernel(device: DeviceModel, num_qubits: int) -> np.ndarray:
-    """Matrix K with p_read = K p_true over qubits 0..num_qubits-1."""
-    k = np.ones((1, 1))
-    for q in range(num_qubits):
-        k = np.kron(k, device.confusion(q).T)
-    return k
-
-
-def _apply_confusion(probs: np.ndarray, device: DeviceModel, num_qubits: int) -> np.ndarray:
-    if not device.readout_confusion:
-        return probs
-    return _confusion_kernel(device, num_qubits) @ probs
+def _readout(probs: np.ndarray, device: DeviceModel, undo: bool) -> np.ndarray:
+    """`probs` over the whole register as read out, p_read = C_q^T p_true on
+    each listed qubit q inside the register, or that undone with inv(C_q^T):
+    one 2 x 2 factor per axis, qubits ascending, no 2^n x 2^n matrix."""
+    n = probs.size.bit_length() - 1
+    tensor = probs.reshape([2] * n)
+    for q in sorted(q for q in device.readout_confusion if q < n):
+        factor = device.readout_confusion[q].T
+        tensor = _apply_matrix(tensor, np.linalg.inv(factor) if undo else factor, (q,), n)
+    return tensor.reshape(-1)
 
 
 def mitigate_readout(dist: np.ndarray, device: DeviceModel) -> np.ndarray:
-    """Invert the tensor-product confusion matrix of a whole-register
-    distribution, clip negatives, renormalize."""
+    """Undo the readout confusion of a whole-register distribution one
+    qubit at a time (`_readout`), clip negatives, renormalize."""
     dist = np.asarray(dist, dtype=float)
     num_qubits = dist.size.bit_length() - 1
     if dist.shape != (2**num_qubits,):
         raise ValueError("distribution length is not a power of 2")
-    corrected = np.linalg.solve(_confusion_kernel(device, num_qubits), dist)
-    corrected = np.clip(corrected, 0.0, None)
+    corrected = np.clip(_readout(dist, device, undo=True), 0.0, None)
     total = corrected.sum()
     if total <= 0.0:
         raise ValueError("readout mitigation produced an empty distribution")

@@ -77,12 +77,11 @@ def recombine(partitions: list[Partition], selections: list[Circuit], num_qubits
     return Circuit(num_qubits, tuple(gates))
 
 
-def space_size(candidate_counts) -> int:
-    """Size of the deployment design space: product of per-partition counts."""
+def space_size(candidate_lists) -> int:
+    """Size of the deployment design space: product of the candidate list lengths."""
     total = 1
-    for i, c in enumerate(candidate_counts):
-        n = len(c) if hasattr(c, "__len__") else int(c)
-        if n < 1:
+    for i, c in enumerate(candidate_lists):
+        if len(c) < 1:
             raise ValueError(f"partition {i} has an empty candidate list")
-        total *= n
+        total *= len(c)
     return total

@@ -260,6 +260,10 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"eval.split must be train or test, got {cfg.eval_split!r}")
     if cfg.r_twirls < 1:
         raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
+    if cfg.layers < 1:
+        raise ConfigError(f"model.layers must be >= 1, got {cfg.layers}")
+    if cfg.data_schema and not cfg.data_csv:  # else the synthetic set would run in its place
+        raise ConfigError("data.schema is set but data.csv is not")
     if not 0.0 < cfg.eps_syn <= 1.0:  # a unitary distance is at most 1; NaN fails too
         raise ConfigError(f"eps_syn must lie in (0, 1], got {cfg.eps_syn}")
     if cfg.k_max < 0:

@@ -117,5 +117,5 @@ def simulate_noisy_density(circuit: Circuit, device: DeviceModel) -> np.ndarray:
     validate_density(rho)
     kernel = np.ones((1, 1))
     for q in range(n):
-        kernel = np.kron(kernel, device.confusion(q).T)
+        kernel = np.kron(kernel, device.readout_confusion.get(q, np.eye(2)).T)
     return kernel @ measure_density(rho, range(n))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qfairdeploy.cli import main
+from qfairdeploy.pipeline import load_config
 
 REPO_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -13,6 +14,7 @@ REPO_DIR = Path(__file__).resolve().parent.parent / "configs"
 def toy_config(tmp_path):
     """Copy of the bundled toy config pointing at an isolated output dir."""
     shutil.copy(REPO_DIR / "toy4_params.txt", tmp_path / "toy4_params.txt")
+    (tmp_path / "empty_params.txt").write_text("")  # the parameters of a model with no layers
     text = (REPO_DIR / "toy4.config").read_text()
     text = text.replace("output_dir ../out/toy4", f"output_dir {tmp_path}/out")
     # a shorter RL run keeps the CLI tests quick
@@ -61,6 +63,24 @@ def test_synthesis_failure_exit_code(toy_config, capsys):
     assert main(["synthesize", str(toy_config)]) == 3
 
 
+def test_synthesis_stage_failure_exits_3(toy_config, capsys):
+    text = toy_config.read_text().replace("eps_syn 1e-2", "eps_syn 1e-12")
+    toy_config.write_text(text.replace("k_max 3", "k_max 0"))
+    assert main(["evaluate", str(toy_config)]) == 3
+    assert "stage 'synthesize' failed" in capsys.readouterr().err
+
+
+def test_failure_after_synthesis_exits_4_naming_stage_and_config(toy_config, monkeypatch, capsys):
+    def overflow(env, train):
+        raise FloatingPointError("overflow in the value network")
+
+    monkeypatch.setattr("qfairdeploy.pipeline.run_search", overflow)
+    assert main(["evaluate", str(toy_config)]) == 4
+    err = capsys.readouterr().err
+    assert f"stage 'rl3' failed (config {load_config(toy_config).config_hash})" in err
+    assert "overflow in the value network" in err
+
+
 def test_scheme_override(toy_config, tmp_path, capsys):
     assert main(["evaluate", str(toy_config), "--scheme", "quest"]) == 0
     out = capsys.readouterr().out
@@ -97,6 +117,7 @@ def test_output_dir_on_a_file_exits_2_before_synthesis(toy_config, tmp_path, mon
 _BAD_MODEL_AND_DATA = [
     "model.measure_qubit 7",
     "model.layers 0",
+    "model.layers 0\nmodel.params empty_params.txt",  # no parameters for no layers, still no model
     "model.qubits 5",
     "data.synthetic.rows 0",
     "data.synthetic.rows -3",
@@ -159,6 +180,17 @@ def test_bad_model_or_data_exits_2_from_every_verb(toy_config, tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cache").exists()
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
+def test_schema_without_csv_exits_2(toy_config, tmp_path, capsys, verb):
+    # a schema alone used to run the synthetic dataset in place of the data it describes
+    (tmp_path / "s.schema").write_text(
+        "features a,b,c,d\nlabel y\nlabel_positive 1\ntrain_size 20\ntest_size 10\n")
+    toy_config.write_text(toy_config.read_text() + "data.schema s.schema\n")
+    assert main([verb, str(toy_config)]) == 2
+    assert "data.schema is set but data.csv is not" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _model_over_the_cap(tmp_path) -> str:

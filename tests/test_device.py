@@ -204,10 +204,10 @@ _angle = st.floats(0.0, 2 * np.pi)
 
 
 @st.composite
-def _noisy_case(draw):
-    """A random circuit on 1..5 qubits and a fully coupled device with random
-    edge, crosstalk, uniform and readout rates."""
-    n = draw(st.integers(1, 5))
+def _noisy_case(draw, max_qubits=5):
+    """A random circuit on 1..max_qubits qubits and a fully coupled device
+    with random edge, crosstalk, uniform and readout rates."""
+    n = draw(st.integers(1, max_qubits))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         if n >= 2 and draw(st.booleans()):
@@ -245,6 +245,14 @@ class TestClosedFormOracle:
         circuit, device = case
         np.testing.assert_allclose(simulate_noisy(circuit, device),
                                    simulate_noisy_density(circuit, device), rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_noisy_case(max_qubits=8))
+    def test_readout_one_qubit_at_a_time_matches_the_kronecker_kernel(self, case):
+        # the oracle reads out through the dense 2^n x 2^n Kronecker product
+        circuit, device = case
+        np.testing.assert_allclose(simulate_noisy(circuit, device),
+                                   simulate_noisy_density(circuit, device), rtol=0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_noisy_case())
@@ -396,6 +404,25 @@ class TestMitigateReadout:
         np.testing.assert_allclose(fixed, closed, rtol=0, atol=1e-12)
         assert 0.0 <= estimate_p(c, dev, r_twirls=4, shots=None) <= 1.0
 
+    def test_twelve_qubits_on_ring14(self):
+        # a dense kernel would be 4096 x 4096; the factors are undone one axis at a time
+        dev = bundled_device("ring14")
+        gates = [gate("ry", q, params=(0.3 + 0.4 * q,)) for q in range(12)]
+        c = Circuit(12, tuple(gates + [gate("cnot", q, q + 1) for q in range(11)]))
+        fixed = mitigate_readout(simulate_noisy(c, dev), dev)
+        np.testing.assert_allclose(fixed, simulate_noisy(c, replace(dev, readout_confusion={})),
+                                   rtol=0, atol=1e-12)
+
+    def test_factors_beyond_the_register_are_ignored(self):
+        near = np.array([[0.95, 0.05], [0.06, 0.94]])
+        dev = DeviceModel(name="t", num_qubits=3, cnot_error={(0, 1): 0.02},
+                          readout_confusion={1: near, 2: np.array([[0.8, 0.2], [0.3, 0.7]])})
+        inside = replace(dev, readout_confusion={1: near})
+        c = Circuit(2, (gate("ry", 0, params=(1.1,)), gate("cnot", 0, 1)))
+        assert np.array_equal(simulate_noisy(c, dev), simulate_noisy(c, inside))
+        dist = np.array([0.4, 0.1, 0.2, 0.3])
+        assert np.array_equal(mitigate_readout(dist, dev), mitigate_readout(dist, inside))
+
 
 class TestEstimateP:
     def test_noiseless_device_zero(self):
@@ -486,7 +513,7 @@ class TestDeviceFiles:
         assert back.crosstalk == dev.crosstalk
         assert back.crosstalk_default == dev.crosstalk_default
         assert back.uniform_depolarizing == dev.uniform_depolarizing
-        np.testing.assert_allclose(back.confusion(0), dev.confusion(0), atol=1e-15)
+        np.testing.assert_allclose(back.readout_confusion[0], dev.readout_confusion[0], atol=1e-15)
 
     def test_bundled_catalog_loads(self):
         sizes = []
