@@ -9,8 +9,10 @@ across all partitions; each state only ever reads its own partition's slice
 of that output. Rewards blend the measured device error rate (the fairness
 proxy) with classification accuracy, weighted per scheme. The
 `(accuracy, p)` pair does not depend on the weights, so one table per run
-holds it for every scheme; `p` comes from exact-mode `estimate_p`, which
-layers each twirled mirror without building circuits.
+holds it for every scheme. Accuracy evolves the split's encoded states one
+partition block at a time, each block one 2^k unitary; `p` comes from
+exact-mode `estimate_p`, which layers each twirled mirror without building
+circuits.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from .circuits import Circuit
 from .device import DeviceModel, estimate_p
 from .fairness import fairness_score
 from .partition import Partition, recombine
-from .qnn import Dataset, QnnModel, accuracy
-# circuit_unitary: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
-from .quantum import circuit_unitary
+# accuracy: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
+from .qnn import Dataset, QnnModel, accuracy, encoded_columns, fraction_right, measured_distribution
+from .quantum import _apply_matrix, circuit_unitary
 from .seeding import spawn
 from .synthesis import CandidateList
 
@@ -193,8 +195,9 @@ class ValueNetwork:
             b -= lr * gb
 
 
-def td_target(reward: float, next_q_max: float | None, gamma: float) -> float:
-    """reward + gamma * max Q' for non-terminal transitions, reward otherwise."""
+def td_target(reward, next_q_max, gamma: float):
+    """reward + gamma * max Q' for non-terminal transitions, reward otherwise;
+    elementwise over arrays of non-terminal rewards and maxima."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     if next_q_max is None:
@@ -223,16 +226,18 @@ def train_step(
     non-terminal next states. Returns the pre-update loss."""
     if not batch:
         raise ValueError("empty batch")
-    inputs = np.stack([t.state_tensor for t in batch])
+    inputs = np.array([t.state_tensor for t in batch])
     actions = np.array([t.action for t in batch], dtype=int)
-    next_q_max: list[float | None] = [None] * len(batch)
+    targets = np.array([t.reward for t in batch], dtype=float)  # terminal ones stay so
     live = [i for i, t in enumerate(batch) if t.next_state_tensor is not None]
+    next_q_max = np.empty(0)
     if live:
-        q_next = target_net.forward(np.stack([batch[i].next_state_tensor for i in live]))
-        for i, q in zip(live, q_next):
-            lo, hi = batch[i].next_slice
-            next_q_max[i] = float(q[lo:hi].max())
-    targets = np.array([td_target(t.reward, m, gamma) for t, m in zip(batch, next_q_max)])
+        q_next = target_net.forward(np.array([batch[i].next_state_tensor for i in live]))
+        windows = np.array([batch[i].next_slice for i in live])
+        columns = np.arange(q_next.shape[1])
+        inside = (columns >= windows[:, :1]) & (columns < windows[:, 1:])
+        next_q_max = np.where(inside, q_next, -np.inf).max(axis=1)  # each window's max
+    targets[live] = td_target(targets[live], next_q_max, gamma)
     loss, grads_w, grads_b = policy.loss_and_gradients(inputs, actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss}")
@@ -252,12 +257,18 @@ class DeploymentEnv:
     lives in `evaluations`, a table that every env of one run (one per
     scheme, all over the same partitions, lists, model, device, data, split,
     r_twirls and seed) can share: each pair is computed once per run, and
-    `reward` weighs it with this env's weights. Each candidate's block,
-    mapped onto the full register, is built once per env.
+    `reward` weighs it with this env's weights.
 
     Unselected partitions are completed with their original exact
     sub-circuits, so an intermediate reward isolates the effect of the
-    approximations chosen so far.
+    approximations chosen so far. Accuracy evolves the split's encoded
+    states, built once per env, block by block: each partition applies one
+    2^k matrix on its own qubits, the chosen candidate's `circuit_unitary`
+    or, unselected, the partition's `target_unitary`. The deployed circuit
+    (`deployed_circuit`, each block's gates mapped onto the full register)
+    still gives `p`, the noise of the measured distribution, and the
+    reports. Blocks, their matrices and the layer rates of `estimate_p` are
+    each built once per env.
     """
 
     partitions: list[Partition]
@@ -272,14 +283,26 @@ class DeploymentEnv:
     evaluations: dict = field(default_factory=dict)  # prefix -> (accuracy, p)
     # (partition, ordinal or None for the original block) -> block on the full register
     _blocks: dict = field(default_factory=dict)
+    # (partition, ordinal or None) -> that block's 2^k matrix on its partition's qubits
+    _matrices: dict = field(default_factory=dict)
+    # the split's encoded states as a [2]*n + [rows] tensor, and its labels
+    _states: np.ndarray | None = None
+    _labels: np.ndarray | None = None
+    _layer_memo: dict = field(default_factory=dict)  # estimate_p's layer rates
 
     def __post_init__(self):
         if len(self.partitions) != len(self.lists):
             raise ValueError("one candidate list per partition required")
+        # a state's action window depends only on how many partitions it has chosen
+        self._windows = [action_slice((0,) * p, self.lists) for p in range(len(self.lists))]
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
+
+    def _ordinal(self, selections: tuple[int, ...], p: int) -> int | None:
+        """Partition p's chosen ordinal, or None while it is unselected."""
+        return selections[p] if p < len(selections) else None
 
     def _block(self, p: int, ordinal: int | None) -> Circuit:
         """Candidate `ordinal` of partition p, or its original sub-circuit
@@ -291,31 +314,62 @@ class DeploymentEnv:
             self._blocks[key] = recombine([part], [chosen], self.model.num_qubits)
         return self._blocks[key]
 
+    def _matrix(self, p: int, ordinal: int | None) -> np.ndarray:
+        """The unitary of `_block(p, ordinal)` on partition p's qubits."""
+        key = (p, ordinal)
+        if key not in self._matrices:
+            part = self.partitions[p]
+            self._matrices[key] = (part.target_unitary if ordinal is None
+                                   else circuit_unitary(self.lists[p].candidates[ordinal].circuit))
+        return self._matrices[key]
+
     def deployed_circuit(self, selections: tuple[int, ...]) -> Circuit:
         """The selected blocks, then the original ones, concatenated in
         partition order."""
         gates: list = []
         for p in range(self.num_partitions):
-            gates += self._block(p, selections[p] if p < len(selections) else None).gates
+            gates += self._block(p, self._ordinal(selections, p)).gates
         return Circuit(self.model.num_qubits, tuple(gates))
+
+    def window(self, selections: tuple[int, ...]) -> range:
+        """`action_slice(selections, self.lists)`, computed once per env."""
+        if len(selections) >= self.num_partitions:
+            raise ValueError("terminal state has no actions")
+        return self._windows[len(selections)]
 
     def step(self, selections: tuple[int, ...], action: int) -> tuple[int, ...]:
         """The state after taking global candidate index `action`, which must
         lie in the next partition's window."""
-        slice_ = action_slice(selections, self.lists)
+        slice_ = self.window(selections)
         if action not in slice_:
             raise ValueError(f"action {action} outside slice {slice_}")
         return selections + (action - slice_.start,)
+
+    def _distribution(self, selections: tuple[int, ...], circuit: Circuit) -> np.ndarray:
+        """The measured qubit's distribution (2, rows) on the split for the
+        model deployed as `circuit`, the prefix's deployed circuit: the
+        split's states evolved one partition block at a time."""
+        n = self.model.num_qubits
+        if self._states is None:
+            rows = list(self.data.split(self.split))
+            if not rows:
+                raise ValueError(f"empty {self.split} split")
+            self._states = encoded_columns(self.model, self.data.features[rows]).reshape([2] * n + [len(rows)])
+            self._labels = self.data.labels[rows]
+        tensor = self._states
+        for p, part in enumerate(self.partitions):
+            tensor = _apply_matrix(tensor, self._matrix(p, self._ordinal(selections, p)), part.qubits, n)
+        return measured_distribution(self.model.with_circuit(circuit), tensor, self.device)
 
     def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:
         """`(accuracy, p)` of a prefix, computed on the first request into
         the shared `evaluations` table and read from it afterwards."""
         if selections not in self.evaluations:
             circuit = self.deployed_circuit(selections)
-            acc = accuracy(self.model.with_circuit(circuit), self.data, self.split, self.device)
+            acc = fraction_right(self._distribution(selections, circuit)[1], self._labels)
             p_hat = estimate_p(
                 circuit, self.device, r_twirls=self.r_twirls,
-                shots=None, seed=spawn_seed(self.seed, selections),
+                shots=None, seed=spawn_seed(self.seed, selections), memo=self._layer_memo,
             )
             self.evaluations[selections] = (acc, p_hat)
         return self.evaluations[selections]
@@ -373,7 +427,7 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
         tensor = state_tensor(state, env.lists)
         episode_max_q = -np.inf
         while len(state) < env.num_partitions:
-            slice_ = action_slice(state, env.lists)
+            slice_ = env.window(state)
             qvalues = policy.forward(tensor)
             episode_max_q = max(episode_max_q, float(qvalues[slice_.start:slice_.stop].max()))
             if not state:
@@ -387,7 +441,7 @@ def run_search(env: DeploymentEnv, cfg: TrainConfig) -> SearchResult:
             else:
                 # the next step's input, and the one copy the replay buffer holds
                 nxt_tensor = state_tensor(nxt, env.lists)
-                nxt_slice = action_slice(nxt, env.lists)
+                nxt_slice = env.window(nxt)
                 nxt_window = (nxt_slice.start, nxt_slice.stop)
             replay.append(Transition(tensor, action, reward, nxt_tensor, nxt_window))
             state, tensor = nxt, nxt_tensor

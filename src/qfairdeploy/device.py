@@ -41,7 +41,7 @@ from .circuits import (
     inverse,
 )
 from . import quantum  # simulate_state is looked up on the module, so wrappers installed there see it
-from .quantum import _CNOT, _FIXED_1Q, _apply_matrix
+from .quantum import _apply_matrix
 from .seeding import spawn
 
 
@@ -110,23 +110,20 @@ def estimation_circuit(circuit: Circuit) -> Circuit:
 
 
 _PAULI_KINDS = (None, GateKind.X, GateKind.Y, GateKind.Z)  # None = identity
-_PAULI_MATS = {None: np.eye(2, dtype=complex), **_FIXED_1Q}
+# each Pauli as its (x, z) bits, X^x Z^z up to phase
+_PAULI_BITS = {None: (0, 0), GateKind.X: (1, 0), GateKind.Y: (1, 1), GateKind.Z: (0, 1)}
 
 
 def _compensation_table() -> dict:
     """For each Pauli pair P inserted before a CNOT, the pair R with
-    R . CNOT . P = CNOT up to global phase (R = CNOT P CNOT)."""
+    R . CNOT . P = CNOT up to global phase (R = CNOT P CNOT). Conjugating by
+    a CNOT adds the control's x bit to the target's and the target's z bit
+    to the control's."""
+    kind_of = {bits: kind for kind, bits in _PAULI_BITS.items()}
     table = {}
-    pairs = list(itertools.product(_PAULI_KINDS, repeat=2))
-    for bc, bt in pairs:
-        m = _CNOT @ np.kron(_PAULI_MATS[bc], _PAULI_MATS[bt]) @ _CNOT
-        for rc, rt in pairs:
-            ref = np.kron(_PAULI_MATS[rc], _PAULI_MATS[rt])
-            if abs(np.vdot(ref, m)) > 4.0 - 1e-9:
-                table[(bc, bt)] = (rc, rt)
-                break
-        else:
-            raise AssertionError("CNOT conjugation left the Pauli group")
+    for bc, bt in itertools.product(_PAULI_KINDS, repeat=2):
+        (xc, zc), (xt, zt) = _PAULI_BITS[bc], _PAULI_BITS[bt]
+        table[(bc, bt)] = (kind_of[(xc, zc ^ zt)], kind_of[(xt ^ xc, zt)])
     return table
 
 
@@ -284,6 +281,7 @@ def estimate_p(
     r_twirls: int = 16,
     shots: int | None = 8192,
     seed: int = 0,
+    memo: dict | None = None,
 ) -> float:
     """Measured effective depolarizing rate of a circuit on a device.
 
@@ -296,14 +294,16 @@ def estimate_p(
     builds no circuit. Shot mode samples each mirror, mitigates readout and
     converts the mean sampled P0. Both modes draw the twirl Paulis from the
     same `spawn(seed, "twirl", t)` streams, and in both the Paulis shift the
-    ASAP layering, and so the crosstalk.
+    ASAP layering, and so the crosstalk. `memo` holds exact mode's layer
+    rates (`_layer_rates`); a layer's rate depends only on the device and
+    its 2-qubit tuples, so calls on one device may share one dict.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
     est = estimation_circuit(circuit)
     if shots is None:
         _check_routed(est.gates, device)
-        memo: dict[tuple, float] = {}
+        memo = {} if memo is None else memo
         p_hat = sum(1.0 - survival(_mirror_p_total(est, spawn(seed, "twirl", t), device, memo), device)
                     for t in range(r_twirls)) / r_twirls
         return min(max(p_hat, 0.0), 1.0)
@@ -323,7 +323,7 @@ def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel,
     """`accumulate_p(concat(twirled, inverse(twirled)), device).p_total` of
     one twirl of a routed 2-qubit-only circuit, from qubit tuples instead of
     gates: the inverse runs the same qubits backwards. `memo` is
-    `_layer_rates`' cache, shared by the twirls of one call."""
+    `_layer_rates`' cache, shared at least by the twirls of one call."""
     steps: list[tuple] = []  # the qubits of each gate of the twirled circuit
     for before, g, after in _twirled(est.gates, rng):
         for _, q in before:
@@ -331,7 +331,8 @@ def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel,
         steps.append(g.qubits)
         for _, q in after:
             steps.append((q,))
-    return _layer_rates(steps + steps[::-1], est.num_qubits, device, memo).p_total
+    steps.extend(reversed(steps))
+    return _layer_rates(steps, est.num_qubits, device, memo).p_total
 
 
 # --- device files ------------------------------------------------------------------

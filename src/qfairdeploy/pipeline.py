@@ -178,8 +178,9 @@ def _hash_config(kv: dict[str, str]) -> str:
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse the flat key-value experiment file; overrides replace keys before
     hashing so a changed run is a different config. Unknown keys, values that
-    do not parse, and bad synthesis, optimizer, training, weight, evaluation
-    and scheme settings raise ConfigError here, before any stage runs.
+    do not parse, bad synthesis, optimizer, training, weight, evaluation
+    and scheme settings, and a data schema that does not load raise
+    ConfigError here, before any stage runs.
 
     Relative paths the file names (model.params, data.*, a device that is
     not bundled) resolve against the file's directory; a device path given
@@ -285,6 +286,11 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     missing = [p for p in (cfg.params_path, cfg.data_csv, cfg.data_schema) if p and not Path(p).is_file()]
     if missing:
         raise ConfigError(f"referenced files do not exist or are not files: {missing}")
+    if cfg.data_schema:  # so that verbs which never load the data refuse a bad schema too
+        try:
+            load_schema(cfg.data_schema)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad data schema {cfg.data_schema}: {exc}") from exc
     out = Path(cfg.output_dir)
     # a file on the path would fail its mkdir only once the stages have run
     if not next(d for d in (out, *out.parents) if d.exists()).is_dir():

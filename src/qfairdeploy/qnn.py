@@ -64,6 +64,12 @@ class DatasetSchema:
     train_size: int = 800
     test_size: int = 300
 
+    def __post_init__(self):
+        # a negative size would slice the split from the end of the drawn rows
+        for key, size in (("train_size", self.train_size), ("test_size", self.test_size)):
+            if size < 0:
+                raise ValueError(f"schema {key} must be >= 0, got {size}")
+
 
 def load_schema(path: str | Path) -> DatasetSchema:
     features: tuple[str, ...] = ()
@@ -286,32 +292,49 @@ def build_qnn(
 
 def output_distribution(model: QnnModel, features, device: DeviceModel | None) -> np.ndarray:
     """The measured qubit's distribution for each row of a rows x d feature
-    matrix, shape (rows, 2), from one batched evolution. On a device each
-    row is `depolarized` by the ansatz: one P serves every row, as the
-    encoded circuits differ only in their angles, and exact readout
-    mitigation cancels the confusion, so it is left out.
+    matrix, shape (rows, 2), from one batched evolution of its
+    `encoded_columns` through the ansatz (`measured_distribution`)."""
+    return measured_distribution(model, evolve(model.circuit, encoded_columns(model, features)), device).T
+
+
+def encoded_columns(model: QnnModel, features) -> np.ndarray:
+    """The `encoded_states` of a rows x d feature matrix as the columns of a
+    (2^n, rows) matrix, n the model's qubit count."""
+    psi = encoded_states(features)
+    if psi.shape[1] != 2**model.num_qubits:
+        raise ValueError(f"rows of {np.shape(features)[1]} features do not fit {model.num_qubits} qubits")
+    return psi.T
+
+
+def measured_distribution(model: QnnModel, states: np.ndarray, device: DeviceModel | None) -> np.ndarray:
+    """The measured qubit's distribution (2, rows) after the ansatz, from the
+    evolved states: the columns of a (2^n, rows) matrix, or a [2]*n + [rows]
+    tensor. On a device each row is `depolarized` by the ansatz: one P
+    serves every row, as the encoded circuits differ only in their angles,
+    and exact readout mitigation cancels the confusion, so it is left out.
     p_total is the ansatz's own: the encoder's RYs fill layer 0 on every
     qubit, so they shift each 2-qubit layer by one and change no rate."""
     n, q = model.num_qubits, model.measure_qubit
-    psi = encoded_states(features)
-    if psi.shape[1] != 2**n:
-        raise ValueError(f"rows of {np.shape(features)[1]} features do not fit {n} qubits")
-    probs = np.abs(evolve(model.circuit, psi.T)) ** 2
-    marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), len(psi)).sum(axis=(0, 2))
+    probs = np.abs(states) ** 2
+    marginal = probs.reshape(2**q, 2, 2 ** (n - q - 1), -1).sum(axis=(0, 2))
     dist = marginal / marginal.sum(axis=0)
     if device is not None:
         dist = depolarized(dist, model.circuit, device)
-    return dist.T
+    return dist
+
+
+def fraction_right(p_one: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows labelled right, each row labelled 1 where its
+    P(measure_qubit = 1) >= 1/2, ties included."""
+    return int(((p_one >= 0.5).astype(int) == labels).sum()) / len(labels)
 
 
 def accuracy(model: QnnModel, data: Dataset, split: str, device: DeviceModel | None) -> float:
-    """Fraction of the split's rows labelled right: label 1 where
-    `output_distribution` gives P(measure_qubit = 1) >= 1/2, ties included."""
+    """`fraction_right` of the split's rows under `output_distribution`."""
     rows = list(data.split(split))
     if not rows:
         raise ValueError(f"empty {split} split")
-    labels = (output_distribution(model, data.features[rows], device)[:, 1] >= 0.5).astype(int)
-    return int((labels == data.labels[rows]).sum()) / len(rows)
+    return fraction_right(output_distribution(model, data.features[rows], device)[:, 1], data.labels[rows])
 
 
 # --- parameter files ------------------------------------------------------------------

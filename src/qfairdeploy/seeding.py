@@ -10,11 +10,14 @@ import hashlib
 import numpy as np
 
 
-def _key_words(parts) -> list[int]:
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode()).digest()
-    return [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
-
-
 def spawn(master_seed: int, *key) -> np.random.Generator:
-    """Generator for the named stream `key` under `master_seed`."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed) & 0xFFFFFFFF] + _key_words(key)))
+    """Generator for the named stream `key` under `master_seed`: a
+    SeedSequence over the master's low 32 bits, then the first four
+    little-endian 32-bit words of the key's SHA-256. The words go in as one
+    uint32 array, which SeedSequence takes as is; a list of the same ints
+    gives the same stream, converted one int at a time."""
+    digest = hashlib.sha256("/".join(str(p) for p in key).encode()).digest()
+    entropy = np.empty(5, dtype=np.uint32)
+    entropy[0] = int(master_seed) & 0xFFFFFFFF
+    entropy[1:] = np.frombuffer(digest, dtype="<u4", count=4)
+    return np.random.default_rng(np.random.SeedSequence(entropy))

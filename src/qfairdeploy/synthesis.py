@@ -158,12 +158,24 @@ def _u3_with_derivatives(
     theta: np.ndarray, phi: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angle arrays of one shape S -> U3 matrices (S, 2, 2) and their
-    theta/phi/lam derivatives (S, 3, 2, 2)."""
+    theta/phi/lam derivatives (S, 3, 2, 2), each entry built in its slot."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    phase = np.exp(1j * np.stack([np.zeros_like(phi), lam, phi, phi + lam], axis=-1)) * _U3_SIGN
-    u = np.stack([c, s, s, c], axis=-1) * phase
-    d_theta = np.stack([-s, c, c, -s], axis=-1) * (0.5 * phase)
-    du = np.stack([d_theta, u * _D_PHI, u * _D_LAM], axis=-2)
+    angles = np.empty(theta.shape + (4,))  # of the phases, row-major
+    angles[..., 0] = 0.0
+    angles[..., 1] = lam
+    angles[..., 2] = phi
+    np.add(phi, lam, out=angles[..., 3])
+    phase = np.exp(1j * angles) * _U3_SIGN
+    trig = np.empty(theta.shape + (2, 4))  # the U3's cos/sin pattern, then d/dtheta's
+    trig[..., 0, 0] = trig[..., 0, 3] = trig[..., 1, 1] = trig[..., 1, 2] = c
+    trig[..., 0, 1] = trig[..., 0, 2] = s
+    np.negative(s, out=trig[..., 1, 0])
+    trig[..., 1, 3] = trig[..., 1, 0]
+    du = np.empty(theta.shape + (3, 4), dtype=complex)
+    u = trig[..., 0, :] * phase
+    np.multiply(trig[..., 1, :], 0.5 * phase, out=du[..., 0, :])
+    np.multiply(u, _D_PHI, out=du[..., 1, :])
+    np.multiply(u, _D_LAM, out=du[..., 2, :])
     return u.reshape(theta.shape + (2, 2)), du.reshape(theta.shape + (3, 2, 2))
 
 
@@ -205,7 +217,7 @@ def _forward(layers: np.ndarray, cnot_rows: list[np.ndarray]) -> tuple[np.ndarra
     before[:, 0] = _IDENTITY[layers.shape[-1]]
     unitary = layers[:, 0]
     for j, rows in enumerate(cnot_rows, 1):
-        before[:, j] = unitary[:, rows]
+        np.take(unitary, rows, axis=1, out=before[:, j])
         unitary = layers[:, j] @ before[:, j]
     return before, unitary
 
@@ -220,7 +232,20 @@ def _partial_trace_subscripts(num_qubits: int) -> list[str]:
     ]
 
 
-_PARTIAL_TRACES = {n: _partial_trace_subscripts(n) for n in (1, 2, 3)}
+_PARTIAL_TRACES = {n: _partial_trace_subscripts(n) for n in (1, 3)}
+
+
+def _partial_traces(n_op: np.ndarray, num_qubits: int) -> np.ndarray:
+    """A (B, J, d, d) operator stack traced down to each qubit q in turn,
+    (B, J, n, 2, 2). At two qubits each trace is one add of two 2 x 2
+    slices, as the einsum sums them."""
+    n_op = n_op.reshape(n_op.shape[:2] + (2,) * (2 * num_qubits))
+    if num_qubits != 2:
+        return np.stack([np.einsum(sub, n_op) for sub in _PARTIAL_TRACES[num_qubits]], axis=2)
+    reduced = np.empty(n_op.shape[:2] + (2, 2, 2), dtype=n_op.dtype)
+    np.add(n_op[..., :, 0, :, 0], n_op[..., :, 1, :, 1], out=reduced[:, :, 0])
+    np.add(n_op[..., 0, :, 0, :], n_op[..., 1, :, 1, :], out=reduced[:, :, 1])
+    return reduced
 
 
 def _value_and_grad(
@@ -251,9 +276,7 @@ def _value_and_grad(
         np.matmul(layers_dag[:, j], w, out=adjoint[:, j])
         if j:
             w = adjoint[:, j][:, cnot_rows[j - 1]]
-    n_op = adjoint @ before.conj().swapaxes(-1, -2)
-    n_op = n_op.reshape(n_op.shape[:2] + (2,) * (2 * num_qubits))
-    reduced = np.stack([np.einsum(sub, n_op) for sub in _PARTIAL_TRACES[num_qubits]], axis=2)
+    reduced = _partial_traces(adjoint @ before.conj().swapaxes(-1, -2), num_qubits)
     dt = np.einsum("bjqkxy,bjqxy->bjqk", du.conj(), u @ reduced) / d
     grad = -2.0 * (t.conj()[:, None, None, None] * dt).real
     return f, grad.reshape(params.shape)
@@ -295,25 +318,37 @@ def fit_template(
     f, grad = _value_and_grad(nq, cnot_rows, x, start_targets)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite synthesis objective")
-    lr = np.full(len(x), STEP_SIZE)
     target_sq = (eps_syn / 10.0) ** 2
-
+    # the starts still descending, kept compacted in batch order: their batch
+    # positions, targets and state; a start's x and f go back when it stops
+    live = np.arange(len(x))
+    owner = live // opt.starts
+    lr = np.full(len(x), STEP_SIZE)
+    lx, lf, lgrad, ltargets = x, f, grad, start_targets
     for _ in range(opt.iterations):
-        solved = np.any(f.reshape(len(targets), opt.starts) <= target_sq, axis=1)
-        active = np.flatnonzero(~np.repeat(solved, opt.starts) & (lr > MIN_STEP))
-        if not active.size:
-            break
-        prop = x[active] - lr[active, None] * grad[active]
-        f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, start_targets[active])
-        if not np.all(np.isfinite(f_prop)):
+        done = lr <= MIN_STEP
+        if lf.min() <= target_sq:  # a solved target: all its starts stop
+            solved = np.zeros(len(targets), dtype=bool)
+            solved[owner[lf <= target_sq]] = True
+            done |= solved[owner]
+        if done.any():
+            x[live[done]], f[live[done]] = lx[done], lf[done]
+            keep = ~done
+            live, owner, lr = live[keep], owner[keep], lr[keep]
+            lx, lf, lgrad, ltargets = lx[keep], lf[keep], lgrad[keep], ltargets[keep]
+            if not live.size:
+                break
+        prop = lx - lr[:, None] * lgrad
+        f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, ltargets)
+        if not np.isfinite(f_prop).all():
             raise FloatingPointError("non-finite synthesis objective")
-        improved = f_prop < f[active]
-        accept = active[improved]
-        x[accept] = prop[improved]
-        f[accept] = f_prop[improved]
-        grad[accept] = grad_prop[improved]  # the gradient at the new point
-        lr[accept] = np.minimum(lr[accept] * STEP_GROW, MAX_STEP)
-        lr[active[~improved]] *= STEP_DECAY
+        improved = f_prop < lf
+        np.copyto(lx, prop, where=improved[:, None])
+        np.copyto(lf, f_prop, where=improved)
+        np.copyto(lgrad, grad_prop, where=improved[:, None])  # the gradient at the new point
+        # steps start at STEP_SIZE <= MAX_STEP, so the cap changes only grown ones
+        lr = np.minimum(lr * np.where(improved, STEP_GROW, STEP_DECAY), MAX_STEP)
+    x[live], f[live] = lx, lf
 
     # each target's best start, as an index into the whole batch
     best = np.argmin(f.reshape(len(targets), opt.starts), axis=1) + np.arange(0, len(x), opt.starts)

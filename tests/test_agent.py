@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfairdeploy import agent
 from qfairdeploy.agent import (
@@ -16,18 +18,29 @@ from qfairdeploy.agent import (
     save_curves,
     save_selections,
     select_action,
+    spawn_seed,
     state_tensor,
     td_target,
     train_step,
 )
+from qfairdeploy.device import estimate_p
+from qfairdeploy.partition import partition
+from qfairdeploy.pipeline import load_config, load_data, load_device_ref, load_model
+from qfairdeploy.qnn import ARCHS, accuracy, output_distribution, synthetic_dataset
 from qfairdeploy.seeding import spawn
+from qfairdeploy.synthesis import Candidate, CandidateList, generate_candidate_lists
 from qfairdeploy.toys import (
     brute_force_best,
     date22_instance,
     toy_device,
+    toy_model,
     toy_train_config,
     two_partition_instance,
 )
+
+from conftest import random_circuit
+
+TOY4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 
 
 def load_selections(path: Path) -> tuple[int, ...]:
@@ -299,6 +312,72 @@ class TestDeploymentEnv:
             toy.env.step((), 5)  # belongs to partition 1's slice
         assert toy.env.step((), 2) == (2,)
         assert toy.env.step((2,), 3) == (2, 0)
+
+
+@st.composite
+def _block_case(draw):
+    """A seeded model on 2..8 qubits, cut into blocks of at most s_blk 2 or
+    3 qubits, each with 1..3 random circuits of its width as candidates; a
+    device that routes every pair, 8..40 synthetic rows, and a prefix of
+    selections (possibly blank or complete). The seed draws every choice,
+    so the sizes spread evenly."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    model = toy_model(n, layers=int(rng.integers(1, 3)), seed=seed % 2**16, arch=str(rng.choice(ARCHS)))
+    parts = partition(model.circuit, int(rng.choice((2, 3))))
+    lists = []
+    for part in parts:
+        circuits = [random_circuit(rng, len(part.qubits), int(rng.integers(0, 9)))
+                    for _ in range(int(rng.integers(1, 4)))]
+        candidates = sorted((Candidate(c, 0.0) for c in circuits), key=lambda c: c.cnots)
+        lists.append(CandidateList(part.index, tuple(candidates)))
+    data = synthetic_dataset(rows=int(rng.integers(8, 41)), num_features=n, seed=seed % 2**16)
+    env = DeploymentEnv(parts, lists, model, toy_device(n), data, RewardWeights(0.5, 0.5))
+    depth = int(rng.integers(0, len(parts) + 1))
+    return env, tuple(int(rng.integers(0, len(cl))) for cl in lists[:depth])
+
+
+class TestBlockByBlockAccuracy:
+    """The env's accuracy evolves the split one partition block at a time;
+    `qnn.accuracy` evolves it through the deployed circuit gate by gate."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_block_case())
+    def test_distribution_matches_the_gate_by_gate_path(self, case):
+        env, selections = case
+        deployed = env.deployed_circuit(selections)
+        rows = list(env.data.split(env.split))
+        gate = output_distribution(env.model.with_circuit(deployed), env.data.features[rows], env.device).T
+        block = env._distribution(selections, deployed)
+        np.testing.assert_allclose(block, gate, rtol=0.0, atol=1e-12)
+        clear = np.abs(gate[1] - 0.5) > 1e-9  # labels may differ only at a near-tie
+        assert np.array_equal((block[1] >= 0.5)[clear], (gate[1] >= 0.5)[clear])
+
+    def test_toy4_every_prefix_scores_as_accuracy_and_estimate_p(self):
+        cfg = load_config(TOY4_CONFIG)
+        model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
+        parts = partition(model.circuit, cfg.s_blk)
+        lists = generate_candidate_lists(parts, cfg.eps_syn, cfg.k_max, cfg.opt, seed=cfg.seed,
+                                         max_candidates=cfg.max_candidates)
+        env = DeploymentEnv(parts, lists, model, device, data, RewardWeights(0.5, 0.5),
+                            split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed)
+        prefixes = [sel for sel in _prefixes(lists) if sel]
+        assert sum(len(sel) == len(lists) for sel in prefixes) == 144
+        for sel in prefixes:
+            deployed = env.deployed_circuit(sel)
+            expected = (accuracy(model.with_circuit(deployed), data, cfg.eval_split, device),
+                        estimate_p(deployed, device, r_twirls=cfg.r_twirls, shots=None,
+                                   seed=spawn_seed(cfg.seed, sel)))
+            assert env.evaluate(sel) == expected
+
+    def test_empty_split_raises(self, toy):
+        empty = synthetic_dataset(rows=1, num_features=2, seed=5)  # one train row, no test rows
+        env = DeploymentEnv(toy.partitions, toy.lists, toy.model, toy.device, empty,
+                            RewardWeights(0.5, 0.5))
+        with pytest.raises(ValueError, match="empty test split"):
+            env.evaluate((0,))
+        assert not env.evaluations
 
 
 class TestRunSearch:

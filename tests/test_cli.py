@@ -193,6 +193,24 @@ def test_schema_without_csv_exits_2(toy_config, tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", ["train_size -5", "test_size -3"])
+@pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
+def test_negative_schema_size_exits_2_naming_the_key(toy_config, tmp_path, capsys, verb, size):
+    # -5 train rows made the test split rows -5..-1, aliases of real rows
+    rows = "".join(f"{i % 5},{i % 3},{i % 7},{i % 4},{i % 2}\n" for i in range(40))
+    (tmp_path / "d.csv").write_text("a,b,c,d,y\n" + rows)
+    sizes = {"train_size": 20, "test_size": 10}
+    key, value = size.split()
+    sizes[key] = int(value)
+    (tmp_path / "d.schema").write_text("features a,b,c,d\nlabel y\nlabel_positive 1\n"
+                                       + "".join(f"{k} {v}\n" for k, v in sizes.items()))
+    toy_config.write_text(toy_config.read_text() + "data.csv d.csv\ndata.schema d.schema\n")
+    assert main([verb, str(toy_config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be >= 0, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _model_over_the_cap(tmp_path) -> str:
     """A 13-qubit c14 model on a 13-qubit ring: routable, one qubit past the
     statevector cap."""

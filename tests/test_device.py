@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qfairdeploy.circuits import Circuit, Gate, GateKind, cnot_count
 from qfairdeploy.device import (
+    _COMPENSATION,
     BUNDLED_DEVICES,
     DeviceModel,
     UnroutedGateError,
@@ -62,6 +63,17 @@ class TestRandomizedCompile:
         for s in range(25):
             twirled = randomized_compile(c, spawn(s, "twirl-test"))
             assert hs_distance(u, circuit_unitary(twirled)) < 1e-9
+
+    def test_compensation_table_is_conjugation_by_the_cnot_matrix(self):
+        # the table comes from Pauli bits; here each pair R is checked to be
+        # CNOT P CNOT up to phase as 4 x 4 matrices
+        cnot = circuit_unitary(Circuit(2, (gate("cnot", 0, 1),)))
+        mats = {None: np.eye(2), **{k: circuit_unitary(Circuit(1, (Gate(k, (0,)),)))
+                                    for k in (GateKind.X, GateKind.Y, GateKind.Z)}}
+        assert len(_COMPENSATION) == 16
+        for (bc, bt), (rc, rt) in _COMPENSATION.items():
+            conjugated = cnot @ np.kron(mats[bc], mats[bt]) @ cnot
+            assert abs(np.vdot(np.kron(mats[rc], mats[rt]), conjugated)) == pytest.approx(4.0, abs=1e-12)
 
     def test_no_cnots_unchanged(self):
         c = Circuit(2, (gate("ry", 0, params=(math.pi / 2,)), gate("ry", 1, params=(0.4,))))

@@ -243,8 +243,10 @@ class TestRunExperiment:
 
 
 def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
-    # one (accuracy, p) per distinct selection across all seven schemes, and
-    # no unitary built by the search: `step` only appends the chosen ordinal
+    # one (accuracy, p) per distinct selection across all seven schemes;
+    # accuracy evolves the split block by block (`measured_distribution`),
+    # never through qnn.accuracy's gate-by-gate path, and each env builds a
+    # candidate's unitary once, not once per selection
     import qfairdeploy.agent as agent
     import qfairdeploy.pipeline as pipeline
     _, _, out = toy_run
@@ -252,8 +254,8 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     cfg = load_config(REPO_CONFIG, {"schemes": "quest,random,rl1,rl2,rl3,rl4,rl5",
                                     "train.iterations": "12"})
-    calls = {"accuracy": 0, "estimate_p": 0}
-    selections, stepped, unitaries, deployed = set(), [], [], []
+    calls = {"accuracy": 0, "measured_distribution": 0, "estimate_p": 0}
+    selections, stepped, unitaries, deployed, envs = set(), [], [], [], {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,6 +265,7 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
 
     def reward(self, sel, _orig=DeploymentEnv.reward):
         selections.add(sel)
+        envs[id(self)] = self
         return _orig(self, sel)
 
     def step(self, state, action, _orig=DeploymentEnv.step):
@@ -278,18 +281,22 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
         return _orig(self, sel)
 
     for name in calls:
-        monkeypatch.setattr(agent, name, counted(name, getattr(agent, name)))
-        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        for module in (agent, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(agent, "circuit_unitary", circuit_unitary)
     monkeypatch.setattr(DeploymentEnv, "reward", reward)
     monkeypatch.setattr(DeploymentEnv, "step", step)
     monkeypatch.setattr(DeploymentEnv, "deployed_circuit", deployed_circuit)
 
     run_experiment(cfg)
-    assert calls == {"accuracy": len(selections), "estimate_p": len(selections)}
+    assert calls == {"accuracy": 0, "measured_distribution": len(selections),
+                     "estimate_p": len(selections)}
     assert len(deployed) == len(selections) + 7  # one per evaluation, then one per reported scheme
     assert len({id(env) for env in stepped}) == 5  # one env per rl scheme steps
-    assert unitaries == []
+    assert len(envs) == 7
+    built = [(id(env), key) for env in envs.values() for key in env._matrices if key[1] is not None]
+    assert len(unitaries) == len(built)
 
 
 def _swap_candidate(cache: Path) -> None:

@@ -40,7 +40,7 @@ from qfairdeploy.synthesis import (
 from qfairdeploy.toys import FAST_OPT, toy_model
 
 from conftest import circuits, gate, random_circuit, random_unitary
-from synthesis_oracle import candidate_list_alone, fit_template_alone
+from synthesis_oracle import candidate_list_alone, fit_template_alone, value_and_grad_frozen
 
 FAST = OptimizerConfig(starts=4, iterations=250)
 
@@ -141,6 +141,23 @@ class TestValueAndGrad:
             fd = [(objective(x + h * e) - objective(x - h * e)) / (2.0 * h)
                   for e in np.eye(template.num_params)]
             np.testing.assert_allclose(gx, fd, rtol=0, atol=1e-7)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_frozen_kernel_bit_for_bit(self, seed):
+        # tests/synthesis_oracle.py keeps the kernel as it stood before its
+        # per-call overhead was cut, and a fit's angles follow every bit of
+        # it: 1..3 qubits, 0..4 CNOTs placed at random, batches of 1..48
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(0, 5)) if n > 1 else 0
+        batch = int(rng.integers(1, 49))
+        rows = [_cnot_rows(n, *(int(q) for q in rng.permutation(n)[:2])) for _ in range(k)]
+        params = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(batch, 3 * n * (k + 1)))
+        targets = np.stack([random_unitary(rng, 2**n) for _ in range(batch)])
+        f, grad = _value_and_grad(n, rows, params, targets)
+        f_ref, grad_ref = value_and_grad_frozen(n, rows, params, targets)
+        assert np.array_equal(f, f_ref) and np.array_equal(grad, grad_ref)
 
 
 class TestFitTemplate:
