@@ -242,18 +242,6 @@ def encoded_halves(features) -> np.ndarray:
     return np.stack([np.cos(half), np.sin(half)])
 
 
-def encoded_overlap(a, b) -> np.ndarray:
-    """<psi_a|psi_b> of two encoded product states from their `encoded_halves`
-    columns: the product over qubits k = 0, 1, ... of cos_a cos_b + sin_a sin_b,
-    O(d) work a pair instead of the 2^d amplitudes. `a` and `b` are
-    (2, d, ...) and broadcast past the qubit axis; every step is elementwise,
-    so a single pair and a block of pairs round alike."""
-    overlap = 1.0
-    for k in range(a.shape[1]):
-        overlap = overlap * (a[0, k] * b[0, k] + a[1, k] * b[1, k])
-    return overlap
-
-
 def build_qnn(
     arch: str,
     num_qubits: int,

@@ -1,8 +1,8 @@
 """Complex linear algebra for circuits: gate semantics, noiseless statevector
-evolution and full unitaries (both capped at 12 qubits), and the output
-distance the fairness analysis uses. Noise needs no density matrix:
-device.simulate_noisy mixes the statevector's Born-rule distribution over the
-whole register with the uniform distribution in closed form.
+evolution and full unitaries (both capped at 12 qubits). Noise needs no
+density matrix: device.simulate_noisy mixes the statevector's Born-rule
+distribution over the whole register with the uniform distribution in
+closed form.
 
 All functions are pure; arrays returned are freshly allocated. Basis-index
 convention follows circuits.py (qubit 0 = most significant bit).
@@ -106,22 +106,3 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary of the circuit (right-to-left product of gate matrices)."""
     _check_cap(circuit)
     return evolve(circuit, np.eye(2**circuit.num_qubits, dtype=complex))
-
-
-# --- distances ----------------------------------------------------------------
-
-
-def total_variation(d1: np.ndarray, d2: np.ndarray) -> float | np.ndarray:
-    """(1/2) * sum |d1_k - d2_k| over a shared outcome space.
-
-    Either may be a stack of distributions with the outcomes along the first
-    axis, and the other axes broadcast: `d1` of shape (k, b, 1) against `d2`
-    of shape (k, 1, m) gives the (b, m) table. Outcome-first, numpy adds one
-    whole outcome slab at a time, left to right. For fewer than 8 outcomes
-    that rounds exactly as a sum of each distribution's own outcomes does,
-    and over many short distributions it is several times faster.
-    """
-    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-    if min(d1.ndim, d2.ndim) == 0 or d2.shape[0] != d1.shape[0]:
-        raise ValueError("outcome spaces differ in total_variation")
-    return 0.5 * np.abs(d1 - d2).sum(axis=0)

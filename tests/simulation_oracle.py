@@ -14,6 +14,12 @@ rate; the mirror built as `Circuit`s, twirled one CNOT at a time, and
 layered by `accumulate_p`; gate application through `np.tensordot`; and
 the trace distance summed over two states' amplitudes, where the fairness
 walk multiplies the encoded inputs' per-qubit overlaps.
+
+It also keeps the fairness walk's per-pair references: `encoded_overlap`
+and `input_distance` on `encoded_halves` columns, and `total_variation` on
+two distributions. Each is elementwise and broadcasts, so one pair and a
+table of pairs round alike, and the walk's in-place slabs must give bitwise
+the same distances.
 """
 from __future__ import annotations
 
@@ -144,3 +150,37 @@ def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
         raise ValueError("dimension mismatch in trace_distance_pure")
     overlap = np.abs((phi * psi.conj()).sum(axis=-1))
     return np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
+
+
+def encoded_overlap(a, b) -> np.ndarray:
+    """<psi_a|psi_b> of two encoded product states from their `encoded_halves`
+    columns: the product over qubits k = 0, 1, ... of cos_a cos_b + sin_a sin_b,
+    O(d) work a pair instead of the 2^d amplitudes. `a` and `b` are
+    (2, d, ...) and broadcast past the qubit axis; every step is elementwise,
+    so a single pair and a block of pairs round alike."""
+    overlap = 1.0
+    for k in range(a.shape[1]):
+        overlap = overlap * (a[0, k] * b[0, k] + a[1, k] * b[1, k])
+    return overlap
+
+
+def input_distance(a, b) -> np.ndarray:
+    """Trace distance sqrt(1 - o^2) between encoded inputs, o their
+    `encoded_overlap` from `encoded_halves` columns."""
+    overlap = encoded_overlap(a, b)
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
+
+
+def total_variation(d1: np.ndarray, d2: np.ndarray) -> float | np.ndarray:
+    """(1/2) * sum |d1_k - d2_k| over a shared outcome space.
+
+    Either may be a stack of distributions with the outcomes along the first
+    axis, and the other axes broadcast: `d1` of shape (k, b, 1) against `d2`
+    of shape (k, 1, m) gives the (b, m) table. Outcome-first, numpy adds one
+    whole outcome slab at a time, left to right. For fewer than 8 outcomes
+    that rounds exactly as a sum of each distribution's own outcomes does.
+    """
+    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
+    if min(d1.ndim, d2.ndim) == 0 or d2.shape[0] != d1.shape[0]:
+        raise ValueError("outcome spaces differ in total_variation")
+    return 0.5 * np.abs(d1 - d2).sum(axis=0)

@@ -1,10 +1,13 @@
+import csv
+import io
 import itertools
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfairdeploy import fairness
@@ -13,7 +16,6 @@ from qfairdeploy.fairness import (
     DEGENERATE_TOL,
     BiasPair,
     _block_walk,
-    _input_distance,
     estimate_lipschitz,
     fairness_scan,
     fairness_score,
@@ -27,16 +29,15 @@ from qfairdeploy.qnn import (
     Dataset,
     build_qnn,
     encoded_halves,
-    encoded_overlap,
     encoded_states,
     output_distribution,
     synthetic_dataset,
 )
-from qfairdeploy.pipeline import OUTPUT_DIR_ENV
-from qfairdeploy.quantum import total_variation
+from qfairdeploy.device import accumulate_p, survival
+from qfairdeploy.pipeline import OUTPUT_DIR_ENV, load_config, load_data, load_device_ref, load_model
 from qfairdeploy.toys import toy_device, toy_model
 
-from simulation_oracle import trace_distance_pure
+from simulation_oracle import encoded_overlap, input_distance, total_variation, trace_distance_pure
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -212,12 +213,70 @@ class TestScalarOps:
     def test_is_fair_zero_constant(self):
         assert is_fair(0.0, 1.0, 1e-6) is True
 
+    @pytest.mark.parametrize("k_star", [-0.5, -1e-12, 1.0 + 1e-12, 2.0, float("nan")])
+    def test_is_fair_rejects_a_constant_outside_the_unit_interval(self, k_star):
+        with pytest.raises(ValueError, match="k_star"):
+            is_fair(k_star, 0.3, 0.1)
+
+    @pytest.mark.parametrize("eps, delta", [(0.0, 0.1), (0.3, 0.0), (1.5, 0.1), (0.3, float("nan"))])
+    def test_is_fair_checks_thresholds_as_the_scan_does(self, eps, delta):
+        for check in (lambda: is_fair(0.5, eps, delta), lambda: fairness._check_thresholds(eps, delta)):
+            with pytest.raises(ValueError, match="eps and delta must lie in"):
+                check()
+
     def test_fairness_score_is_identity(self):
         assert fairness_score(0.0) == 0.0
         assert fairness_score(0.5546) == 0.5546
         assert fairness_score(1.0) == 1.0
         with pytest.raises(ValueError):
             fairness_score(1.2)
+
+
+# --- the empirical constant against the exact one ---------------------------------
+
+
+def _exact_constant(model, device) -> float:
+    """K*, the model's Lipschitz constant over all input states: the survival
+    of its ansatz on the device (ROADMAP item 15), 1 with no device."""
+    return 1.0 if device is None else survival(accumulate_p(model.circuit, device).p_total, device)
+
+
+@st.composite
+def _spread_case(draw):
+    """2-8 rows of 1-4 features whose pairs all sit more than 1e-3 apart
+    in input distance, a random model of 1-2 layers, and no device or a toy
+    device with random edge errors and uniform depolarizing."""
+    n_rows, d = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    features = np.array([[draw(st.floats(0.0, 1.0)) for _ in range(d)] for _ in range(n_rows)])
+    halves = np.moveaxis(encoded_halves(features), -1, 0)
+    assume(all(input_distance(halves[i], halves[j]) > 1e-3
+               for i, j in itertools.combinations(range(n_rows), 2)))
+    model = toy_model(d, layers=draw(st.integers(1, 2)), seed=draw(st.integers(0, 1000)))
+    device = None
+    if draw(st.booleans()):
+        device = toy_device(d, edge_error=draw(st.floats(0.0, 0.2)),
+                            uniform_depolarizing=draw(st.floats(0.0, 0.9)))
+    return model, device, make_dataset(features)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_spread_case())
+def test_khat_is_at_most_the_exact_constant(case):
+    model, device, data = case
+    _, est = fairness_scan(model, device, data, 0.5, 0.1)
+    assert est.degenerate_pairs == 0
+    assert est.k_hat <= _exact_constant(model, device) + 1e-9
+
+
+def test_toy4_scan_khat_is_at_most_the_exact_constant():
+    # the benchmark's scan: 1,200 train rows of 2,000 at seed 7
+    cfg = replace(load_config(REPO_CONFIG, {}), synthetic_rows=2000)
+    model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
+    _, est = fairness_scan(model, device, data, 0.3, 0.1, rows=data.split("train"))
+    assert est.pairs_examined == 1200 * 1199 // 2
+    assert est.k_hat == pytest.approx(0.91872, abs=5e-6)
+    assert _exact_constant(model, device) == pytest.approx(0.94387, abs=5e-6)
+    assert est.k_hat <= _exact_constant(model, device)
 
 
 # --- the shared block walk against a pair-by-pair reference --------------------
@@ -254,7 +313,7 @@ def _reference_pairs(model, device, data, rows) -> dict:
     rows = sorted(range(len(data.labels)) if rows is None else rows)
     halves = dict(zip(rows, np.moveaxis(encoded_halves(data.features[rows]), -1, 0)))
     dists = dict(zip(rows, output_distribution(model, data.features[rows], device)))
-    return {(i, j): (_input_distance(halves[i], halves[j]), total_variation(dists[i], dists[j]))
+    return {(i, j): (input_distance(halves[i], halves[j]), total_variation(dists[i], dists[j]))
             for i, j in itertools.combinations(rows, 2)}
 
 
@@ -384,7 +443,7 @@ def test_product_overlaps_match_the_amplitudes(features):
     for i, j in itertools.product(range(len(features)), repeat=2):
         overlap = encoded_overlap(halves[i], halves[j])
         assert overlap == pytest.approx(abs(states[i] @ states[j]), abs=1e-14)
-        d, ref = _input_distance(halves[i], halves[j]), trace_distance_pure(states[i], states[j])
+        d, ref = input_distance(halves[i], halves[j]), trace_distance_pure(states[i], states[j])
         if (features[i] == features[j]).all():
             assert d < DEGENERATE_TOL
         elif max(d, ref) > DEGENERATE_TOL:
@@ -413,6 +472,21 @@ def test_toy4_scan_matches_golden_copy(tmp_path, monkeypatch):
     assert main(argv) == 0
     for name in ("lipschitz", "bias_pairs"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"toy4_scan_{name}.csv").read_bytes()
+
+
+def test_bias_pairs_csv_bytes_are_the_csv_writers(tmp_path):
+    values = (0.0, 1.0, 1 / 3, 1e-300)
+    pairs = [BiasPair(k, 1000 + k, x, y) for k, (x, y) in enumerate(itertools.product(values, repeat=2))]
+    for listed in ([], pairs):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["i", "j", "input_distance", "output_distance"])
+        for p in listed:
+            writer.writerow([p.i, p.j, "%.12g" % p.input_distance, "%.12g" % p.output_distance])
+        write_bias_pairs_csv(listed, tmp_path / "bp.csv")
+        written = (tmp_path / "bp.csv").read_bytes()
+        assert written == expected.getvalue().encode()
+        assert written.count(b"\r\n") == len(listed) + 1
 
 
 def test_csv_reports(tmp_path):

@@ -11,7 +11,6 @@ from qfairdeploy.quantum import (
     circuit_unitary,
     evolve,
     simulate_state,
-    total_variation,
     zero_state,
 )
 from qfairdeploy.seeding import spawn
@@ -19,7 +18,7 @@ from qfairdeploy.toys import toy_device
 
 from conftest import circuits, gate, random_circuit, random_state
 from density_oracle import depolarize, measure_density, pure_density, trace_distance, validate_density
-from simulation_oracle import evolve_by_tensordot, trace_distance_pure
+from simulation_oracle import evolve_by_tensordot, total_variation, trace_distance_pure
 
 
 def apply_gate(state, g):
