@@ -8,7 +8,7 @@ fully connected ReLU stack whose output width is the total candidate count
 across all partitions; each state only ever reads its own partition's slice
 of that output. Rewards blend the measured device error rate (the fairness
 proxy) with classification accuracy, weighted per scheme. The
-`(accuracy, p)` pair does not depend on the weights, so one table per run
+`(accuracy, p)` pair does not depend on the weights, so one env per run
 holds it for every scheme. Accuracy evolves the split's encoded states one
 partition block at a time, each block one 2^k unitary; `p` comes from
 exact-mode `estimate_p`, which layers each twirled mirror without building
@@ -26,9 +26,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .device import DeviceModel, estimate_p
-from .fairness import fairness_score
 from .partition import Partition, recombine
-# accuracy: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
+# accuracy, circuit_unitary: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
 from .qnn import Dataset, QnnModel, accuracy, encoded_columns, fraction_right, measured_distribution
 from .quantum import _apply_matrix, circuit_unitary
 from .seeding import spawn
@@ -254,21 +253,21 @@ class DeploymentEnv:
 
     A search state is the selections tuple; `step` appends one ordinal. A
     prefix's `(accuracy, p)` does not depend on the reward weights, so it
-    lives in `evaluations`, a table that every env of one run (one per
-    scheme, all over the same partitions, lists, model, device, data, split,
-    r_twirls and seed) can share: each pair is computed once per run, and
-    `reward` weighs it with this env's weights.
+    lives in the env's private `evaluations` table and `reward` weighs it
+    with the current `weights`. One env serves a whole run: each scheme sets
+    `env.weights` and reads the pairs the schemes before it computed, so
+    each pair is computed once per run.
 
     Unselected partitions are completed with their original exact
     sub-circuits, so an intermediate reward isolates the effect of the
     approximations chosen so far. Accuracy evolves the split's encoded
     states, built once per env, block by block: each partition applies one
-    2^k matrix on its own qubits, the chosen candidate's `circuit_unitary`
-    or, unselected, the partition's `target_unitary`. The deployed circuit
+    2^k matrix on its own qubits, the chosen candidate's `unitary` or,
+    unselected, the partition's `target_unitary`. The deployed circuit
     (`deployed_circuit`, each block's gates mapped onto the full register)
     still gives `p`, the noise of the measured distribution, and the
-    reports. Blocks, their matrices and the layer rates of `estimate_p` are
-    each built once per env.
+    reports. Blocks and the layer rates of `estimate_p` are each built once
+    per env.
     """
 
     partitions: list[Partition]
@@ -280,15 +279,13 @@ class DeploymentEnv:
     split: str = "test"
     r_twirls: int = 4
     seed: int = 0
-    evaluations: dict = field(default_factory=dict)  # prefix -> (accuracy, p)
+    evaluations: dict = field(init=False, default_factory=dict)  # prefix -> (accuracy, p)
     # (partition, ordinal or None for the original block) -> block on the full register
-    _blocks: dict = field(default_factory=dict)
-    # (partition, ordinal or None) -> that block's 2^k matrix on its partition's qubits
-    _matrices: dict = field(default_factory=dict)
+    _blocks: dict = field(init=False, default_factory=dict)
     # the split's encoded states as a [2]*n + [rows] tensor, and its labels
-    _states: np.ndarray | None = None
-    _labels: np.ndarray | None = None
-    _layer_memo: dict = field(default_factory=dict)  # estimate_p's layer rates
+    _states: np.ndarray | None = field(init=False, default=None)
+    _labels: np.ndarray | None = field(init=False, default=None)
+    _layer_memo: dict = field(init=False, default_factory=dict)  # estimate_p's layer rates
 
     def __post_init__(self):
         if len(self.partitions) != len(self.lists):
@@ -313,15 +310,6 @@ class DeploymentEnv:
             chosen = part.sub_circuit if ordinal is None else self.lists[p].candidates[ordinal].circuit
             self._blocks[key] = recombine([part], [chosen], self.model.num_qubits)
         return self._blocks[key]
-
-    def _matrix(self, p: int, ordinal: int | None) -> np.ndarray:
-        """The unitary of `_block(p, ordinal)` on partition p's qubits."""
-        key = (p, ordinal)
-        if key not in self._matrices:
-            part = self.partitions[p]
-            self._matrices[key] = (part.target_unitary if ordinal is None
-                                   else circuit_unitary(self.lists[p].candidates[ordinal].circuit))
-        return self._matrices[key]
 
     def deployed_circuit(self, selections: tuple[int, ...]) -> Circuit:
         """The selected blocks, then the original ones, concatenated in
@@ -358,12 +346,14 @@ class DeploymentEnv:
             self._labels = self.data.labels[rows]
         tensor = self._states
         for p, part in enumerate(self.partitions):
-            tensor = _apply_matrix(tensor, self._matrix(p, self._ordinal(selections, p)), part.qubits, n)
+            ordinal = self._ordinal(selections, p)
+            matrix = part.target_unitary if ordinal is None else self.lists[p].candidates[ordinal].unitary
+            tensor = _apply_matrix(tensor, matrix, part.qubits, n)
         return measured_distribution(self.model.with_circuit(circuit), tensor, self.device)
 
     def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:
         """`(accuracy, p)` of a prefix, computed on the first request into
-        the shared `evaluations` table and read from it afterwards."""
+        the `evaluations` table and read from it afterwards."""
         if selections not in self.evaluations:
             circuit = self.deployed_circuit(selections)
             acc = fraction_right(self._distribution(selections, circuit)[1], self._labels)
@@ -379,7 +369,7 @@ class DeploymentEnv:
         if not selections:
             raise ValueError("reward needs at least one selection")
         acc, p_hat = self.evaluate(selections)
-        return compute_reward(fairness_score(p_hat), acc, self.weights)
+        return compute_reward(p_hat, acc, self.weights)
 
 
 def spawn_seed(master: int, selections: tuple[int, ...]) -> int:

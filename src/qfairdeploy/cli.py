@@ -50,6 +50,7 @@ def _config(args: argparse.Namespace):
 def cmd_synthesize(args) -> int:
     cfg = _config(args)
     model = load_model(cfg)
+    check_routable(model, load_device_ref(cfg.device_ref))
     parts, lists = synthesize(cfg, model)
     for cl in lists:
         sizes = [(c.cnots, round(c.distance, 9)) for c in cl.candidates]

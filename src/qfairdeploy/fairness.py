@@ -199,8 +199,8 @@ def noisy_lipschitz(k_star: float, p: float) -> float:
     """Constant of the depolarized model: (1 - p) * k_star."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p outside [0, 1]")
-    if not 0.0 < k_star <= 1.0:
-        raise ValueError("k_star outside (0, 1]")
+    if not 0.0 <= k_star <= 1.0:  # NaN fails too
+        raise ValueError("k_star outside [0, 1]")
     return (1.0 - p) * k_star
 
 
@@ -210,13 +210,6 @@ def is_fair(k_star: float, eps: float, delta: float) -> bool:
         raise ValueError("k_star outside [0, 1]")
     _check_thresholds(eps, delta)
     return delta >= k_star * eps
-
-
-def fairness_score(p: float) -> float:
-    """The deployment fairness proxy: the measured error rate itself."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p outside [0, 1]")
-    return p
 
 
 # --- CSV reports -----------------------------------------------------------------

@@ -33,7 +33,6 @@ from .device import (
     estimate_p,
     load_device,
 )
-from .fairness import fairness_score
 from .partition import Partition, partition, space_size
 from .quantum import STATEVECTOR_QUBIT_CAP
 # accuracy: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
@@ -265,6 +264,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"model.layers must be >= 1, got {cfg.layers}")
     if cfg.data_schema and not cfg.data_csv:  # else the synthetic set would run in its place
         raise ConfigError("data.schema is set but data.csv is not")
+    if cfg.data_csv and not cfg.data_schema:
+        raise ConfigError("data.csv is set but data.schema is not")
     if not 0.0 < cfg.eps_syn <= 1.0:  # a unitary distance is at most 1; NaN fails too
         raise ConfigError(f"eps_syn must lie in (0, 1], got {cfg.eps_syn}")
     if cfg.k_max < 0:
@@ -286,6 +287,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     missing = [p for p in (cfg.params_path, cfg.data_csv, cfg.data_schema) if p and not Path(p).is_file()]
     if missing:
         raise ConfigError(f"referenced files do not exist or are not files: {missing}")
+    if cfg.device_ref not in BUNDLED_DEVICES and not Path(cfg.device_ref).is_file():
+        raise ConfigError(f"bad device file {cfg.device_ref}: neither bundled nor a file")
     if cfg.data_schema:  # so that verbs which never load the data refuse a bad schema too
         try:
             load_schema(cfg.data_schema)
@@ -315,8 +318,6 @@ def load_model(cfg: ExperimentConfig) -> QnnModel:
 def load_device_ref(ref: str) -> DeviceModel:
     if ref in BUNDLED_DEVICES:
         return bundled_device(ref)
-    if not Path(ref).exists():
-        raise ConfigError(f"device {ref!r} is neither bundled nor a file")
     try:
         return load_device(ref)
     except (OSError, ValueError) as exc:
@@ -333,8 +334,6 @@ def check_routable(model: QnnModel, device: DeviceModel) -> None:
 
 
 def load_data(cfg: ExperimentConfig) -> Dataset:
-    if cfg.data_csv and not cfg.data_schema:
-        raise ConfigError("data.csv needs data.schema")
     try:
         if cfg.data_csv:
             data = load_dataset(cfg.data_csv, load_schema(cfg.data_schema), cfg.seed)
@@ -461,7 +460,7 @@ def _evaluate_selections(
     return DeploymentReport(
         scheme=scheme,
         accuracy=acc,
-        fairness=fairness_score(p_hat),
+        fairness=p_hat,
         reward=reward,
         cnot_count=cnot_count(deployed),
         depth=depth(deployed),
@@ -494,15 +493,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
     parts, lists = stage("synthesize", lambda: synthesize(cfg, model))
 
     reports = []
-    evaluations: dict = {}  # (accuracy, p) per selection, shared by every scheme
+    # one env for every scheme: each re-weights it and reuses its evaluations
+    env = DeploymentEnv(parts, lists, model, device, data, cfg.scheme_weights(cfg.schemes[0]),
+                        split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed)
     for scheme in cfg.schemes:
         started = time.perf_counter()
-        weights = cfg.scheme_weights(scheme)
-        env = DeploymentEnv(
-            parts, lists, model, device, data, weights,
-            split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed,
-            evaluations=evaluations,
-        )
+        env.weights = cfg.scheme_weights(scheme)
         if scheme == "quest":
             selections = baseline_min_cnot(lists)
         elif scheme == "random":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,11 @@ class Candidate:
     @property
     def cnots(self) -> int:
         return _cnot_count(self.circuit)
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """The circuit's 2^k matrix, built on first use."""
+        return circuit_unitary(self.circuit)
 
 
 @dataclass(frozen=True)
@@ -548,7 +554,7 @@ def verify_candidate_lists(
             if cand.circuit.num_qubits != len(part.qubits):
                 raise CacheError(f"{where} acts on {cand.circuit.num_qubits} qubits, "
                                  f"the partition on {len(part.qubits)}")
-            distance = hs_distance(circuit_unitary(cand.circuit), part.target_unitary)
+            distance = hs_distance(cand.unitary, part.target_unitary)
             recorded = math.isclose(distance, cand.distance, rel_tol=1e-9, abs_tol=1e-15)
             if distance > eps_syn or not recorded:
                 raise CacheError(f"{where} is at distance {distance!r}, "

@@ -193,6 +193,31 @@ def test_schema_without_csv_exits_2(toy_config, tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
+def test_csv_without_schema_exits_2(toy_config, tmp_path, capsys, verb):
+    # `synthesize` never loads the data, so only the config load can refuse it
+    (tmp_path / "d.csv").write_text("a,b,c,d,y\n" + "0,1,0,1,1\n" * 30)
+    toy_config.write_text(toy_config.read_text() + "data.csv d.csv\n")
+    assert main([verb, str(toy_config)]) == 2
+    assert "data.csv is set but data.schema is not" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
+def test_device_that_is_not_a_file_exits_2(toy_config, tmp_path, capsys, verb, override):
+    # a missing path or a directory, named in the config or on the command line
+    for device in (tmp_path / "missing.device", tmp_path):
+        if override:
+            argv = [verb, str(toy_config), "--device", str(device)]
+        else:
+            toy_config.write_text(toy_config.read_text() + f"device {device}\n")
+            argv = [verb, str(toy_config)]
+        assert main(argv) == 2
+        assert "neither bundled nor a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["train_size -5", "test_size -3"])
 @pytest.mark.parametrize("verb", ["synthesize", "deploy", "evaluate", "report", "fairness-scan"])
 def test_negative_schema_size_exits_2_naming_the_key(toy_config, tmp_path, capsys, verb, size):
@@ -312,7 +337,7 @@ def test_singular_readout_confusion_exits_2_before_synthesis(toy_config, tmp_pat
     assert not (tmp_path / "out" / "cache").exists()
 
 
-@pytest.mark.parametrize("verb", ["evaluate", "fairness-scan"])
+@pytest.mark.parametrize("verb", ["synthesize", "evaluate", "fairness-scan"])
 def test_unroutable_ansatz_exits_2_before_synthesis(toy_config, tmp_path, capsys, verb):
     # ring14 without the edge that closes toy4's 4-qubit ring
     text = resources.files("qfairdeploy.devices").joinpath("ring14.device").read_text()

@@ -18,7 +18,6 @@ from qfairdeploy.fairness import (
     _block_walk,
     estimate_lipschitz,
     fairness_scan,
-    fairness_score,
     find_bias_pairs,
     is_fair,
     noisy_lipschitz,
@@ -199,10 +198,12 @@ class TestScalarOps:
         assert noisy_lipschitz(0.5, 1.0) == 0.0
 
     def test_noisy_lipschitz_validation(self):
+        # k_star takes the interval is_fair takes: a constant model has 0
+        assert noisy_lipschitz(0.0, 0.5) == 0.0
         with pytest.raises(ValueError):
             noisy_lipschitz(0.5, 1.5)
         with pytest.raises(ValueError):
-            noisy_lipschitz(0.0, 0.5)
+            noisy_lipschitz(float("nan"), 0.5)
 
     def test_is_fair_boundary(self):
         assert is_fair(0.5, 0.2, 0.1) is True  # 0.1 >= 0.1
@@ -223,13 +224,6 @@ class TestScalarOps:
         for check in (lambda: is_fair(0.5, eps, delta), lambda: fairness._check_thresholds(eps, delta)):
             with pytest.raises(ValueError, match="eps and delta must lie in"):
                 check()
-
-    def test_fairness_score_is_identity(self):
-        assert fairness_score(0.0) == 0.0
-        assert fairness_score(0.5546) == 0.5546
-        assert fairness_score(1.0) == 1.0
-        with pytest.raises(ValueError):
-            fairness_score(1.2)
 
 
 # --- the empirical constant against the exact one ---------------------------------

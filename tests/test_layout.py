@@ -1,6 +1,7 @@
 """Layout guards: every public top-level name in the package has a caller in
-the package itself (a helper that only tests use belongs under tests/), and
-the benchmark's tracer can wrap every lookup of the functions it traces."""
+the package itself (a helper that only tests use belongs under tests/), the
+benchmark's tracer can wrap every lookup of the functions it traces, and a
+module imports no name it never reads unless the tracer looks it up there."""
 import ast
 import subprocess
 import sys
@@ -90,3 +91,44 @@ def test_tracer_wraps_every_lookup_of_a_traced_function():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _traced_lookups() -> dict[str, set[str]]:
+    """Module file name -> the names perfbench/tracer.py's TRACED table looks
+    up in that module's namespace; "" in the table is the package itself."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (table,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]]
+    lookups: dict[str, set[str]] = {}
+    for _, attr, sites in table.values():
+        for site in sites:
+            lookups.setdefault(f"{site or '__init__'}.py", set()).add(attr)
+    return lookups
+
+
+def unread_imports() -> list[str]:
+    """module.name for each name a module imports but never reads, that the
+    tracer does not look up there either; `__all__` counts as a read."""
+    lookups = _traced_lookups()
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read and name not in lookups.get(path.name, ()):
+                        stale.append(f"{path.stem}.{name}")
+    return stale
+
+
+def test_every_unread_import_is_a_traced_lookup():
+    # an import kept only for the tracer fails here once its table row goes
+    assert unread_imports() == []

@@ -243,19 +243,22 @@ class TestRunExperiment:
 
 
 def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
-    # one (accuracy, p) per distinct selection across all seven schemes;
-    # accuracy evolves the split block by block (`measured_distribution`),
-    # never through qnn.accuracy's gate-by-gate path, and each env builds a
-    # candidate's unitary once, not once per selection
+    # one env serves all seven schemes, re-weighted per scheme, so each
+    # distinct selection gets one (accuracy, p); accuracy evolves the split
+    # block by block (`measured_distribution`), never through qnn.accuracy's
+    # gate-by-gate path; and on the warm cache each candidate's unitary is
+    # built once, when the cache is re-verified, and the env reuses it
     import qfairdeploy.agent as agent
     import qfairdeploy.pipeline as pipeline
+    import qfairdeploy.synthesis as synthesis
     _, _, out = toy_run
     shutil.copytree(out / "cache", tmp_path / "cache")
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     cfg = load_config(REPO_CONFIG, {"schemes": "quest,random,rl1,rl2,rl3,rl4,rl5",
                                     "train.iterations": "12"})
     calls = {"accuracy": 0, "measured_distribution": 0, "estimate_p": 0}
-    selections, stepped, unitaries, deployed, envs = set(), [], [], [], {}
+    selections, stepped, deployed, envs = set(), [], [], {}
+    unitaries = {"agent": [], "synthesis": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -269,22 +272,25 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
         return _orig(self, sel)
 
     def step(self, state, action, _orig=DeploymentEnv.step):
-        stepped.append(self)  # holding each env keeps its id from being reused
+        stepped.append((self, self.weights))  # holding each env keeps its id from being reused
         return _orig(self, state, action)
-
-    def circuit_unitary(circuit, _orig=agent.circuit_unitary):
-        unitaries.append(circuit)
-        return _orig(circuit)
 
     def deployed_circuit(self, sel, _orig=DeploymentEnv.deployed_circuit):
         deployed.append(sel)
         return _orig(self, sel)
 
+    def unitary_counter(key, fn):
+        def circuit_unitary(circuit):
+            unitaries[key].append(circuit)
+            return fn(circuit)
+        return circuit_unitary
+
     for name in calls:
         for module in (agent, pipeline):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.setattr(agent, "circuit_unitary", circuit_unitary)
+    for key, module in (("agent", agent), ("synthesis", synthesis)):
+        monkeypatch.setattr(module, "circuit_unitary", unitary_counter(key, module.circuit_unitary))
     monkeypatch.setattr(DeploymentEnv, "reward", reward)
     monkeypatch.setattr(DeploymentEnv, "step", step)
     monkeypatch.setattr(DeploymentEnv, "deployed_circuit", deployed_circuit)
@@ -293,10 +299,12 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
     assert calls == {"accuracy": 0, "measured_distribution": len(selections),
                      "estimate_p": len(selections)}
     assert len(deployed) == len(selections) + 7  # one per evaluation, then one per reported scheme
-    assert len({id(env) for env in stepped}) == 5  # one env per rl scheme steps
-    assert len(envs) == 7
-    built = [(id(env), key) for env in envs.values() for key in env._matrices if key[1] is not None]
-    assert len(unitaries) == len(built)
+    (env,) = envs.values()
+    assert {id(e) for e, _ in stepped} == {id(env)}  # the one env steps for every rl scheme
+    assert {w for _, w in stepped} == {SCHEME_WEIGHTS[f"rl{i}"] for i in range(1, 6)}
+    assert unitaries["agent"] == []
+    built = sorted(id(circuit) for circuit in unitaries["synthesis"])
+    assert built == sorted(id(c.circuit) for cl in env.lists for c in cl.candidates)
 
 
 def _swap_candidate(cache: Path) -> None:

@@ -510,6 +510,12 @@ def test_candidate_lists_round_trip(tmp_path, rng):
     assert [c.cnots for c in back.candidates] == [c.cnots for c in cl.candidates]
 
 
+def test_candidate_unitary_is_built_once_and_is_its_circuits(rng):
+    cand = Candidate(random_circuit(rng, 2, 8), 0.0)
+    assert cand.unitary is cand.unitary
+    assert cand.unitary.tobytes() == circuit_unitary(cand.circuit).tobytes()  # bit for bit
+
+
 @st.composite
 def _candidate_lists(draw):
     """A random circuit's partitions, each with 1-3 candidates: its own
