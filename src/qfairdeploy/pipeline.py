@@ -51,6 +51,7 @@ from .seeding import spawn
 from .synthesis import (
     CacheError,
     DEFAULT_MAX_CANDIDATES,
+    DESCENT,
     CandidateList,
     OptimizerConfig,
     generate_candidate_lists,
@@ -359,6 +360,7 @@ def _synthesis_key(cfg: ExperimentConfig, model: QnnModel) -> str:
         f"k_max {cfg.k_max}",
         f"max_candidates {cfg.max_candidates}",
         f"opt {cfg.opt}",
+        f"descent {DESCENT}",
         f"seed {cfg.seed}",
     ])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -2,16 +2,18 @@
 CNOTs) to a partition's target unitary, keeping every candidate within the
 unitary-distance budget.
 
-The optimizer is a multi-start first-order descent on the squared objective
-1 - |Tr(U^dag T)|^2 / d^2 with exact gradients from the adjoint method: one
-forward sweep of prefix products and one backward sweep per step, whatever
-the angle count. Every block that shares a template is fitted in one lockstep
-batch: the starts of all its targets descend together as one numpy batch,
-each start against its own target, so one template costs one descent however
-many partitions use it. A target is solved once any of its starts reaches the
-squared distance (eps_syn/10)^2, and all of its starts then leave the batch;
-that rule reads only the target's own starts, so each target still descends
-exactly as it would alone.
+The optimizer is a multi-start quasi-Newton (BFGS) descent on the squared
+objective 1 - |Tr(U^dag T)|^2 / d^2 with exact gradients from the adjoint
+method: one forward sweep of prefix products and one backward sweep per step,
+whatever the angle count. Each start steps along -H g, H its own dense
+inverse-Hessian estimate, which starts at the identity and takes a BFGS update
+on every accepted step of positive curvature. Every block that shares a
+template is fitted in one lockstep batch: the starts of all its targets
+descend together as one numpy batch, each start against its own target, so one
+template costs one descent however many partitions use it. A target is solved
+once any of its starts reaches the squared distance (eps_syn/10)^2, and all of
+its starts then leave the batch; that rule reads only the target's own starts,
+so each target still descends exactly as it would alone.
 """
 from __future__ import annotations
 
@@ -55,12 +57,22 @@ def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(0.0, one_minus * (1.0 + at)))
 
 
-# adaptive step of the descent, per start
-STEP_SIZE = 0.1
+# adaptive length of the quasi-Newton step, per start: it starts at MAX_STEP,
+# halves on a rejected step and re-grows on an accepted one
 STEP_DECAY = 0.5
-STEP_GROW = 1.5  # re-growth on improvement; pure halving stalls far from optimum
+STEP_GROW = 1.5
 MAX_STEP = 1.0
 MIN_STEP = 1e-14
+# names the descent rule in the synthesis cache key: a cache fitted by another
+# rule still passes re-verification, but a cold run would list other fits
+DESCENT = "bfgs"
+
+
+def _check_budget(eps_syn: float) -> None:
+    """eps_syn is a unitary distance, so a budget outside (0, 1] (or NaN)
+    has no meaning."""
+    if not 0.0 < eps_syn <= 1.0:
+        raise ValueError(f"eps_syn must be in (0, 1], got {eps_syn!r}")
 
 
 @dataclass(frozen=True)
@@ -288,6 +300,27 @@ def _value_and_grad(
     return f, grad.reshape(params.shape)
 
 
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(B, P, P) @ (B, P) -> (B, P), one matrix-vector product per start."""
+    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+
+
+def _bfgs_update(inv_hess: np.ndarray, s: np.ndarray, y: np.ndarray, accepted: np.ndarray) -> None:
+    """BFGS update of each accepted start's inverse-Hessian estimate H, in
+    place: H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
+    rho = 1 / (s . y), for step s and gradient change y. Expanded, that is
+    H + s v^T - w s^T with w = rho H y and v = rho (1 + y . w) s - w. A start
+    whose step was rejected, or whose curvature s . y is not positive, gets
+    rho = 0 and so keeps its H: every H stays positive definite, and -H g a
+    descent direction."""
+    sy = np.einsum("bi,bi->b", s, y)
+    rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=accepted & (sy > 0.0))
+    w = rho[:, None] * _matvec(inv_hess, y)
+    v = (rho * (1.0 + np.einsum("bi,bi->b", y, w)))[:, None] * s - w
+    inv_hess += s[:, :, None] * v[:, None, :]
+    inv_hess -= w[:, :, None] * s[:, None, :]
+
+
 def fit_template(
     template: SynthesisTemplate,
     targets: np.ndarray,
@@ -299,16 +332,19 @@ def fit_template(
     over the template's angles, all targets in one lockstep descent.
 
     Target i's opt.starts starts come from rngs[i], and each start descends
-    against its own target exactly as it would alone. A start stops when its
-    step shrinks below MIN_STEP, and all of a target's starts stop once one
-    of them reaches f <= (eps_syn/10)^2: that target is solved. Per target,
-    returns its lowest-f start's candidate (for a solved target, the lowest
-    among the starts that crossed the threshold first) if its independently
-    recomputed distance is within eps_syn, else None. Deterministic given
-    the rng states.
+    against its own target exactly as it would alone. A start proposes
+    x - lr H g, with H its inverse-Hessian estimate (the identity at first,
+    see `_bfgs_update`) and lr its step length: lr starts at MAX_STEP, and
+    a proposal is accepted only if it lowers f, which grows lr by STEP_GROW
+    (capped at MAX_STEP), or else rejected, which halves it. A start stops
+    when lr shrinks below MIN_STEP, and all of a target's starts stop once
+    one of them reaches f <= (eps_syn/10)^2: that target is solved. Per
+    target, returns its lowest-f start's candidate (for a solved target, the
+    lowest among the starts that crossed the threshold first) if its
+    independently recomputed distance is within eps_syn, else None.
+    Deterministic given the rng states.
     """
-    if eps_syn <= 0.0:
-        raise ValueError("eps_syn must be positive")
+    _check_budget(eps_syn)
     targets = np.asarray(targets, dtype=complex)
     d = 2**template.num_qubits
     if targets.ndim != 3 or targets.shape[1:] != (d, d) or not len(targets):
@@ -329,7 +365,8 @@ def fit_template(
     # positions, targets and state; a start's x and f go back when it stops
     live = np.arange(len(x))
     owner = live // opt.starts
-    lr = np.full(len(x), STEP_SIZE)
+    lr = np.full(len(x), MAX_STEP)
+    lhess = np.tile(np.eye(template.num_params), (len(x), 1, 1))  # inverse-Hessian estimates
     lx, lf, lgrad, ltargets = x, f, grad, start_targets
     for _ in range(opt.iterations):
         done = lr <= MIN_STEP
@@ -341,18 +378,19 @@ def fit_template(
             x[live[done]], f[live[done]] = lx[done], lf[done]
             keep = ~done
             live, owner, lr = live[keep], owner[keep], lr[keep]
-            lx, lf, lgrad, ltargets = lx[keep], lf[keep], lgrad[keep], ltargets[keep]
+            lx, lf, lgrad, lhess = lx[keep], lf[keep], lgrad[keep], lhess[keep]
+            ltargets = ltargets[keep]
             if not live.size:
                 break
-        prop = lx - lr[:, None] * lgrad
+        prop = lx - lr[:, None] * _matvec(lhess, lgrad)
         f_prop, grad_prop = _value_and_grad(nq, cnot_rows, prop, ltargets)
         if not np.isfinite(f_prop).all():
             raise FloatingPointError("non-finite synthesis objective")
         improved = f_prop < lf
+        _bfgs_update(lhess, prop - lx, grad_prop - lgrad, improved)
         np.copyto(lx, prop, where=improved[:, None])
         np.copyto(lf, f_prop, where=improved)
         np.copyto(lgrad, grad_prop, where=improved[:, None])  # the gradient at the new point
-        # steps start at STEP_SIZE <= MAX_STEP, so the cap changes only grown ones
         lr = np.minimum(lr * np.where(improved, STEP_GROW, STEP_DECAY), MAX_STEP)
     x[live], f[live] = lx, lf
 
@@ -445,6 +483,7 @@ def generate_candidate_lists(
     the same whichever other partitions are synthesized with it. A fit that
     `_cannot_fit` proves out of reach is skipped: it would return None.
     """
+    _check_budget(eps_syn)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     # template -> (partition position, fit ordinal within it, rng) per fit

@@ -25,13 +25,14 @@ from qfairdeploy.synthesis import (
     MIN_STEP,
     STEP_DECAY,
     STEP_GROW,
-    STEP_SIZE,
     Candidate,
     CandidateList,
     OptimizerConfig,
     SynthesisError,
     SynthesisTemplate,
+    _bfgs_update,
     _cnot_rows,
+    _matvec,
     _placement_patterns,
     hs_distance,
 )
@@ -152,11 +153,14 @@ def fit_template_alone(
     rng: np.random.Generator,
 ) -> Candidate | None:
     """Minimize the unitary distance to one target over the template's
-    angles, stopping every start once one reaches (eps_syn/10)^2; the best
-    start's candidate if its recomputed distance is within eps_syn, else
-    None."""
-    if eps_syn <= 0.0:
-        raise ValueError("eps_syn must be positive")
+    angles by the package's BFGS rule, stopping every start once one reaches
+    (eps_syn/10)^2; the best start's candidate if its recomputed distance is
+    within eps_syn, else None. The step and the inverse-Hessian update are
+    the package's own `_matvec` and `_bfgs_update`, so the two fits can
+    agree bit for bit; test_synthesis holds `_bfgs_update` to the textbook
+    product form."""
+    if not 0.0 < eps_syn <= 1.0:
+        raise ValueError("eps_syn must be in (0, 1]")
     target = np.asarray(target, dtype=complex)
     if target.shape != (2**template.num_qubits,) * 2:
         raise ValueError("template/target dimension mismatch")
@@ -167,7 +171,8 @@ def fit_template_alone(
     f, grad = _value_and_grad_alone(nq, cnot_rows, x, target)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite synthesis objective")
-    lr = np.full(opt.starts, STEP_SIZE)
+    lr = np.full(opt.starts, MAX_STEP)
+    hess = np.tile(np.eye(template.num_params), (opt.starts, 1, 1))
     target_sq = (eps_syn / 10.0) ** 2
 
     for _ in range(opt.iterations):
@@ -176,11 +181,14 @@ def fit_template_alone(
         active = np.flatnonzero(lr > MIN_STEP)
         if not active.size:
             break
-        prop = x[active] - lr[active, None] * grad[active]
+        h = hess[active]
+        prop = x[active] - lr[active, None] * _matvec(h, grad[active])
         f_prop, grad_prop = _value_and_grad_alone(nq, cnot_rows, prop, target)
         if not np.all(np.isfinite(f_prop)):
             raise FloatingPointError("non-finite synthesis objective")
         improved = f_prop < f[active]
+        _bfgs_update(h, prop - x[active], grad_prop - grad[active], improved)
+        hess[active] = h
         accept = active[improved]
         x[accept] = prop[improved]
         f[accept] = f_prop[improved]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qfairdeploy import pipeline
 from qfairdeploy.agent import DeploymentEnv, RewardWeights, TrainConfig, compute_reward
 from qfairdeploy.pipeline import (
     OUTPUT_DIR_ENV,
@@ -107,6 +108,15 @@ class TestConfig:
             load_model(replace(cfg, params_path=str(tmp_path)))
         with pytest.raises(ConfigError, match="bad data"):
             load_data(replace(cfg, data_csv=str(tmp_path), data_schema=str(tmp_path)))
+
+    def test_synthesis_key_names_the_descent(self, monkeypatch):
+        # a cache fitted by another descent passes re-verification, so only
+        # the key keeps a warm run from reusing it
+        cfg = load_config(REPO_CONFIG)
+        model = load_model(cfg)
+        key = pipeline._synthesis_key(cfg, model)
+        monkeypatch.setattr(pipeline, "DESCENT", "first-order")
+        assert pipeline._synthesis_key(cfg, model) != key
 
     def test_override_changes_hash(self):
         a = load_config(REPO_CONFIG)

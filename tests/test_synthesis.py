@@ -189,9 +189,19 @@ class TestFitTemplate:
         assert hs_distance(u, CNOT_U) < 1e-6
 
     def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex)[None], 0.0,
-                         opt=FAST, rngs=[spawn(4, "fit")])
+        # a unitary distance lies in [0, 1]: NaN once passed and listed a
+        # candidate at distance 0.108, and 1.5 died inside _cannot_fit
+        for eps_syn in (0.0, -0.1, math.nan, 1.5, math.inf):
+            with pytest.raises(ValueError, match="eps_syn"):
+                fit_template(SynthesisTemplate(2, ()), np.eye(4, dtype=complex)[None], eps_syn,
+                             opt=FAST, rngs=[spawn(4, "fit")])
+            with pytest.raises(ValueError, match="eps_syn"):
+                generate_candidates(make_partition(CNOT_U), eps_syn, 1, FAST)
+
+    def test_accepts_the_whole_budget(self):
+        cand = fit_template(SynthesisTemplate(2, ()), CNOT_U[None], 1.0, opt=FAST,
+                            rngs=[spawn(4, "fit")])[0]
+        assert cand is not None and cand.distance <= 1.0
 
     def test_deterministic_given_seed(self):
         a = fit_template(SynthesisTemplate(2, ((0, 1),)), CNOT_U[None], 1e-3, opt=FAST,
@@ -223,6 +233,22 @@ class TestFitTemplate:
         assert later and all(len(is_cnot) for is_cnot, _ in later)  # the Haar target goes on
         assert not any(is_cnot.any() for is_cnot, _ in later)
 
+    def test_toy4_seed7_descent_is_short(self, monkeypatch):
+        # a cold toy4 synthesis at seed 7: the first-order descent made 619
+        # `_value_and_grad` calls over 9,144 start evaluations, BFGS makes 71
+        calls = []
+
+        def counting(num_qubits, cnot_rows, params, targets):
+            calls.append(len(params))
+            return _value_and_grad(num_qubits, cnot_rows, params, targets)
+
+        monkeypatch.setattr(synthesis, "_value_and_grad", counting)
+        cfg = load_config(CONFIG_DIR / "toy4.config")
+        parts = partition(load_model(cfg).circuit, cfg.s_blk)
+        generate_candidate_lists(parts, cfg.eps_syn, cfg.k_max, cfg.opt, cfg.seed,
+                                 cfg.max_candidates)
+        assert len(calls) < 150, f"{len(calls)} calls over {sum(calls)} start evaluations"
+
     @pytest.mark.parametrize("targets, rngs", [
         (CNOT_U[None], []),  # one target, no rng
         (np.stack([CNOT_U, CNOT_U]), [spawn(5, "fit")]),  # two targets, one rng
@@ -233,6 +259,26 @@ class TestFitTemplate:
     def test_rejects_mismatched_targets_and_rngs(self, targets, rngs):
         with pytest.raises(ValueError):
             fit_template(SynthesisTemplate(2, ((0, 1),)), targets, 1e-3, opt=FAST, rngs=rngs)
+
+
+class TestBfgsUpdate:
+    def test_equals_the_product_form_and_meets_the_secant_condition(self, rng):
+        p = 6
+        a = rng.normal(size=(3, p, p))
+        inv_hess = a @ a.swapaxes(1, 2) + np.eye(p)  # positive definite
+        s, y = rng.normal(size=(3, p)), rng.normal(size=(3, p))
+        y[0] = -s[0]  # no positive curvature: H stays
+        y[1] = s[1] + 0.1 * y[1]  # positive curvature
+        accepted = np.array([True, True, False])
+        updated = inv_hess.copy()
+        synthesis._bfgs_update(updated, s, y, accepted)
+        assert np.array_equal(updated[0], inv_hess[0]) and np.array_equal(updated[2], inv_hess[2])
+        rho = 1.0 / (s[1] @ y[1])
+        left = np.eye(p) - rho * np.outer(s[1], y[1])
+        expected = left @ inv_hess[1] @ left.T + rho * np.outer(s[1], s[1])
+        assert np.allclose(updated[1], expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(updated[1] @ y[1], s[1], rtol=1e-12, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(updated[1]) > 0.0)
 
 
 @st.composite
