@@ -10,9 +10,10 @@ of that output. Rewards blend the measured device error rate (the fairness
 proxy) with classification accuracy, weighted per scheme. The
 `(accuracy, p)` pair does not depend on the weights, so one env per run
 holds it for every scheme. Accuracy evolves the split's encoded states one
-partition block at a time, each block one 2^k unitary; `p` comes from
-exact-mode `estimate_p`, which layers each twirled mirror without building
-circuits.
+partition block at a time, each block one 2^k unitary, starting from the
+states the env kept for the longest prefix of it already evolved; `p` comes
+from exact-mode `estimate_p`, which layers each twirled mirror in one pass
+without building circuits.
 """
 from __future__ import annotations
 
@@ -263,7 +264,11 @@ class DeploymentEnv:
     approximations chosen so far. Accuracy evolves the split's encoded
     states, built once per env, block by block: each partition applies one
     2^k matrix on its own qubits, the chosen candidate's `unitary` or,
-    unselected, the partition's `target_unitary`. The deployed circuit
+    unselected, the partition's `target_unitary`. The states after each
+    chosen block of the prefix scored last stay on `_path`, one tensor per
+    partition at most, and a prefix starts from the longest stored prefix of
+    itself, so a search that extends its last prefix applies only the new
+    block and the unselected ones past it. The deployed circuit
     (`deployed_circuit`, each block's gates mapped onto the full register)
     still gives `p`, the noise of the measured distribution, and the
     reports. Blocks and the layer rates of `estimate_p` are each built once
@@ -286,6 +291,8 @@ class DeploymentEnv:
     _states: np.ndarray | None = field(init=False, default=None)
     _labels: np.ndarray | None = field(init=False, default=None)
     _layer_memo: dict = field(init=False, default_factory=dict)  # estimate_p's layer rates
+    # the current path: (ordinal, states evolved through blocks 0..p) per chosen partition p
+    _path: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if len(self.partitions) != len(self.lists):
@@ -336,7 +343,10 @@ class DeploymentEnv:
     def _distribution(self, selections: tuple[int, ...], circuit: Circuit) -> np.ndarray:
         """The measured qubit's distribution (2, rows) on the split for the
         model deployed as `circuit`, the prefix's deployed circuit: the
-        split's states evolved one partition block at a time."""
+        split's states evolved one partition block at a time. The states
+        after each chosen block of the last prefix stay on `_path`, so a
+        prefix starts from the longest stored prefix of itself; the blocks
+        past it are applied as a fresh evolution would apply them."""
         n = self.model.num_qubits
         if self._states is None:
             rows = list(self.data.split(self.split))
@@ -344,11 +354,18 @@ class DeploymentEnv:
                 raise ValueError(f"empty {self.split} split")
             self._states = encoded_columns(self.model, self.data.features[rows]).reshape([2] * n + [len(rows)])
             self._labels = self.data.labels[rows]
-        tensor = self._states
-        for p, part in enumerate(self.partitions):
-            ordinal = self._ordinal(selections, p)
+        path = self._path
+        start = 0
+        while start < min(len(path), len(selections)) and path[start][0] == selections[start]:
+            start += 1
+        del path[start:]
+        tensor = path[-1][1] if path else self._states
+        for p in range(start, self.num_partitions):
+            part, ordinal = self.partitions[p], self._ordinal(selections, p)
             matrix = part.target_unitary if ordinal is None else self.lists[p].candidates[ordinal].unitary
             tensor = _apply_matrix(tensor, matrix, part.qubits, n)
+            if ordinal is not None:
+                path.append((ordinal, tensor))
         return measured_distribution(self.model.with_circuit(circuit), tensor, self.device)
 
     def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:

@@ -124,8 +124,10 @@ def cnot_count(circuit: Circuit) -> int:
 def asap(steps, num_qubits: int) -> list[int]:
     """Greedy as-soon-as-possible layering of gates given by their qubit
     tuples: each gate's layer, the earliest in which none of its qubits is
-    already busy. The package's one layering; `depth` counts it and the
-    noise model reads it."""
+    already busy. The package's layering; `depth` counts it and the noise
+    model reads it. Exact-mode `device.estimate_p` layers its twirled
+    mirrors with a one-pass specialisation (`device._mirror_p_total`),
+    held to this one by `TestMirrorLayering`."""
     frontier = [0] * num_qubits  # first free layer per qubit
     out = []
     for qubits in steps:  # every gate kind acts on one qubit or two (GATE_ARITY)

@@ -5,7 +5,9 @@ applies one global depolarizing channel whose rate is the sum of its edges'
 error rates plus a crosstalk term for each pair of its edges. Concurrent
 gates never share a qubit, so only an explicit `crosstalk` pair can add to
 a layer; the `crosstalk_default` of edges sharing a qubit never does. Every
-rate goes through `_layer_rates`, and every run keeps `survival` of the
+rate goes through `_composed`: `accumulate_p` layers a circuit with `asap`,
+and exact-mode `estimate_p` layers each twirled mirror in one pass over its
+2-qubit gates (`_mirror_p_total`). Every run keeps `survival` of the
 noiseless distribution. Readout error is a per-qubit 2 x 2 confusion
 matrix, applied on its qubit's axis of the measured distribution and undone
 there by `mitigate_readout`; it is kept out of the gate-error model.
@@ -138,8 +140,8 @@ def _twirled(gates, rng: np.random.Generator):
     """Yield (before, gate, after) for each of `gates`: a CNOT gets uniformly
     random Paulis before it and the compensating ones after it, as (kind,
     qubit) pairs with identities left out; any other gate gets none. One
-    draw of two indices per CNOT: randomized compiling and exact-mode
-    `estimate_p` both twirl here."""
+    draw of two indices per CNOT, the draw exact-mode `estimate_p` makes
+    too (`_mirror_p_total`)."""
     num_cnots = sum(g.kind is GateKind.CNOT for g in gates)
     draws = iter(rng.integers(0, 4, size=(num_cnots, 2)).tolist())
     for g in gates:
@@ -175,33 +177,36 @@ def _check_routed(gates, device: DeviceModel) -> None:
             raise UnroutedGateError(f"{g.kind.value} on {g.qubits} is not a coupling edge of {device.name}")
 
 
-def _layer_rates(steps, num_qubits: int, device: DeviceModel, memo: dict) -> NoiseTrace:
-    """The noise of routed gates given by their qubit tuples: each `asap`
-    layer that holds a 2-qubit gate applies the errors of its edges, in gate
-    order, plus the crosstalk of each pair of them, clamped to [0, 1]; the
-    layer rates compose as (1 - p_total) = prod(1 - p_layer). `memo` keeps
-    each rate by the layer's 2-qubit tuples."""
-    by_layer: dict[int, list[tuple[int, int]]] = {}
-    for qubits, layer in zip(steps, asap(steps, num_qubits)):
-        if len(qubits) == 2:
-            by_layer.setdefault(layer, []).append(qubits)
+def _composed(by_layer: dict, device: DeviceModel, memo: dict) -> NoiseTrace:
+    """The one rate rule: each layer (layer index -> its 2-qubit tuples in
+    gate order) applies the errors of its edges, in that order, plus the
+    crosstalk of each pair of them, clamped to [0, 1]; the layer rates
+    compose in layer order as (1 - p_total) = prod(1 - p_layer). `memo`
+    keeps each rate by the layer's 2-qubit tuples."""
     rates = []
     for layer in sorted(by_layer):
         key = tuple(by_layer[layer])
-        if key not in memo:
+        rate = memo.get(key)
+        if rate is None:
             edges = [_edge(*qubits) for qubits in key]
             rate = sum(device.cnot_error[e] for e in edges)
             for e1, e2 in itertools.combinations(edges, 2):
                 rate += device.crosstalk_rate(e1, e2)
-            memo[key] = min(max(rate, 0.0), 1.0)
-        rates.append(memo[key])
+            rate = memo[key] = min(max(rate, 0.0), 1.0)
+        rates.append(rate)
     return NoiseTrace(tuple(rates), 1.0 - math.prod(1.0 - r for r in rates))
 
 
 def accumulate_p(circuit: Circuit, device: DeviceModel) -> NoiseTrace:
-    """The circuit's 2-qubit layer rates and their composition."""
+    """The circuit's 2-qubit layer rates and their composition: the 2-qubit
+    gates of each `asap` layer, in gate order, go to `_composed`."""
     _check_routed(circuit.gates, device)
-    return _layer_rates([g.qubits for g in circuit.gates], circuit.num_qubits, device, {})
+    steps = [g.qubits for g in circuit.gates]
+    by_layer: dict[int, list[tuple[int, int]]] = {}
+    for qubits, layer in zip(steps, asap(steps, circuit.num_qubits)):
+        if len(qubits) == 2:
+            by_layer.setdefault(layer, []).append(qubits)
+    return _composed(by_layer, device, {})
 
 
 def survival(p_total: float, device: DeviceModel) -> float:
@@ -290,23 +295,28 @@ def estimate_p(
     with survival 1 - P keeps |0...0> with probability P0 = (1 - P) + P / 2^n,
     and p = (1 - P0) / (1 - 2^-n) gives back P. shots=None returns the mean
     P over the twirls in closed form, 1 - P = `survival`, since readout
-    mitigation is exact there; it layers each mirror from qubit tuples and
-    builds no circuit. Shot mode samples each mirror, mitigates readout and
-    converts the mean sampled P0. Both modes draw the twirl Paulis from the
-    same `spawn(seed, "twirl", t)` streams, and in both the Paulis shift the
-    ASAP layering, and so the crosstalk. `memo` holds exact mode's layer
-    rates (`_layer_rates`); a layer's rate depends only on the device and
-    its 2-qubit tuples, so calls on one device may share one dict.
+    mitigation is exact there. Shot mode samples each mirror, mitigates
+    readout and converts the mean sampled P0. Both modes draw the twirl
+    Paulis from the same `spawn(seed, "twirl", t)` streams, and in both the
+    Paulis shift the ASAP layering, and so the crosstalk. Exact mode builds
+    no circuit at all: it takes the 2-qubit gates as they stand and layers
+    each mirror in one pass (`_mirror_p_total`). `memo` holds its layer
+    rates (`_composed`); a layer's rate depends only on the device and its
+    2-qubit tuples, so calls on one device may share one dict.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
-    est = estimation_circuit(circuit)
     if shots is None:
-        _check_routed(est.gates, device)
+        gates = [g for g in circuit.gates if len(g.qubits) == 2]
+        _check_routed(gates, device)
+        pairs = [(g.qubits, g.kind is GateKind.CNOT) for g in gates]
+        size = (sum(cnot for _, cnot in pairs), 2)  # `_twirled`'s draw: an index pair per CNOT
         memo = {} if memo is None else memo
-        p_hat = sum(1.0 - survival(_mirror_p_total(est, spawn(seed, "twirl", t), device, memo), device)
-                    for t in range(r_twirls)) / r_twirls
+        mirrors = (_mirror_p_total(pairs, spawn(seed, "twirl", t).integers(0, 4, size=size),
+                                   circuit.num_qubits, device, memo) for t in range(r_twirls))
+        p_hat = sum(1.0 - survival(p_total, device) for p_total in mirrors) / r_twirls
         return min(max(p_hat, 0.0), 1.0)
+    est = estimation_circuit(circuit)
     p0 = 0.0
     for t in range(r_twirls):
         twirled = randomized_compile(est, spawn(seed, "twirl", t))
@@ -319,20 +329,51 @@ def estimate_p(
     return min(max(p_hat, 0.0), 1.0)
 
 
-def _mirror_p_total(est: Circuit, rng: np.random.Generator, device: DeviceModel, memo: dict) -> float:
+# per drawn index pair, whether a Pauli sits (before control, before target,
+# after control, after target) of the CNOT: each one holds its qubit a layer.
+# The second copy is the inverse's: there each Pauli sits on the other side.
+_TWIRL_BUSY = [[(busy, busy[2:] + busy[:2])
+                for busy in (tuple(int(k is not None) for k in twirl) for twirl in row)]
+               for row in _TWIRLS]
+_UNTWIRLED = ((0, 0, 0, 0), (0, 0, 0, 0))
+
+
+def _mirror_p_total(pairs, draws: np.ndarray, num_qubits: int, device: DeviceModel, memo: dict) -> float:
     """`accumulate_p(concat(twirled, inverse(twirled)), device).p_total` of
-    one twirl of a routed 2-qubit-only circuit, from qubit tuples instead of
-    gates: the inverse runs the same qubits backwards. `memo` is
-    `_layer_rates`' cache, shared at least by the twirls of one call."""
-    steps: list[tuple] = []  # the qubits of each gate of the twirled circuit
-    for before, g, after in _twirled(est.gates, rng):
-        for _, q in before:
-            steps.append((q,))
-        steps.append(g.qubits)
-        for _, q in after:
-            steps.append((q,))
-    steps.extend(reversed(steps))
-    return _layer_rates(steps, est.num_qubits, device, memo).p_total
+    one twirl of routed 2-qubit gates, in one pass and without Circuits. The
+    gates come as (qubits, is a CNOT) pairs, and `draws` holds the twirl's
+    Pauli index pair for each CNOT, drawn as `_twirled` draws them.
+
+    A Pauli is a 1-qubit gate, so in the `asap` layering it only moves its
+    qubit's frontier on by one layer; each 2-qubit gate then takes the later
+    of its qubits' frontiers. The inverse runs the same gates backwards,
+    each gate's Paulis on the other side of it. The 2-qubit tuples of each
+    layer go to `_composed`, whose `memo` is shared at least by the twirls
+    of one call."""
+    draws = iter(draws.tolist())
+    forward, backward = [], []
+    for qubits, cnot in pairs:
+        if cnot:
+            i, j = next(draws)
+            there, back = _TWIRL_BUSY[i][j]
+        else:
+            there, back = _UNTWIRLED
+        forward.append((qubits, there))
+        backward.append((qubits, back))
+    backward.reverse()
+    frontier = [0] * num_qubits  # first free layer per qubit, as in `asap`
+    by_layer: dict[int, list[tuple[int, int]]] = {}
+    for qubits, (pa, pb, qa, qb) in forward + backward:
+        a, b = qubits
+        la, lb = frontier[a] + pa, frontier[b] + pb
+        layer = la if la > lb else lb
+        if layer in by_layer:
+            by_layer[layer].append(qubits)
+        else:
+            by_layer[layer] = [qubits]
+        frontier[a] = layer + 1 + qa
+        frontier[b] = layer + 1 + qb
+    return _composed(by_layer, device, memo).p_total
 
 
 # --- device files ------------------------------------------------------------------

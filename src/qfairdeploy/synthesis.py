@@ -142,7 +142,8 @@ class Candidate:
 
     @cached_property
     def unitary(self) -> np.ndarray:
-        """The circuit's 2^k matrix, built on first use."""
+        """The circuit's 2^k matrix, built on first use; `fit_template`
+        hands its candidates the matrix it verified them with."""
         return circuit_unitary(self.circuit)
 
 
@@ -399,8 +400,14 @@ def fit_template(
     found: list[Candidate | None] = []
     for target, b in zip(targets, best):
         circuit = template.realize(x[b])
-        distance = hs_distance(circuit_unitary(circuit), target)  # re-verified
-        found.append(None if distance > eps_syn else Candidate(circuit, distance))
+        unitary = circuit_unitary(circuit)
+        distance = hs_distance(unitary, target)  # re-verified
+        if distance > eps_syn:
+            found.append(None)
+            continue
+        cand = Candidate(circuit, distance)
+        object.__setattr__(cand, "unitary", unitary)  # the verified matrix fills the cache
+        found.append(cand)
     return found
 
 

@@ -8,7 +8,7 @@ read the diagonal, then apply the Kronecker readout-confusion kernel. Gates
 act through their full embedded unitary, so nothing here shares the
 statevector's tensor contraction, and the layers and their rates come from
 the oracle's own rules below, not from the program's `asap` and
-`_layer_rates`.
+`_composed`.
 """
 from __future__ import annotations
 

@@ -354,6 +354,31 @@ class TestBlockByBlockAccuracy:
         clear = np.abs(gate[1] - 0.5) > 1e-9  # labels may differ only at a near-tie
         assert np.array_equal((block[1] >= 0.5)[clear], (gate[1] >= 0.5)[clear])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_block_case(), st.randoms(use_true_random=False))
+    def test_path_stack_matches_a_fresh_env(self, case, random):
+        """One env scores a shuffled mix of prefixes: the drawn one, its
+        parents and siblings, unrelated shallow and deep ones, repeats and
+        the blank prefix. Each starts from what the one before it left on
+        the path, yet its distribution is a fresh env's, byte for byte."""
+        env, selections = case
+        ordinals = [range(len(cl)) for cl in env.lists]
+        prefixes = [selections[:k] for k in range(len(selections) + 1)]
+        if selections:
+            prefixes += [selections[:-1] + (o,) for o in ordinals[len(selections) - 1]]
+        for _ in range(4):
+            depth = random.randint(0, len(ordinals))
+            prefixes.append(tuple(random.choice(ordinals[p]) for p in range(depth)))
+        prefixes += random.sample(prefixes, 3)
+        random.shuffle(prefixes)
+        for sel in prefixes:
+            fresh = DeploymentEnv(env.partitions, env.lists, env.model, env.device, env.data,
+                                  env.weights, split=env.split)
+            deployed = env.deployed_circuit(sel)
+            assert (env._distribution(sel, deployed).tobytes()
+                    == fresh._distribution(sel, deployed).tobytes())
+            assert len(env._path) == len(sel)
+
     def test_toy4_every_prefix_scores_as_accuracy_and_estimate_p(self):
         cfg = load_config(TOY4_CONFIG)
         model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
@@ -364,8 +389,11 @@ class TestBlockByBlockAccuracy:
                             split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed)
         prefixes = [sel for sel in _prefixes(lists) if sel]
         assert sum(len(sel) == len(lists) for sel in prefixes) == 144
+        rows = list(data.split(cfg.eval_split))
         for sel in prefixes:
             deployed = env.deployed_circuit(sel)
+            gate = output_distribution(model.with_circuit(deployed), data.features[rows], device).T
+            np.testing.assert_allclose(env._distribution(sel, deployed), gate, rtol=0.0, atol=1e-12)
             expected = (accuracy(model.with_circuit(deployed), data, cfg.eval_split, device),
                         estimate_p(deployed, device, r_twirls=cfg.r_twirls, shots=None,
                                    seed=spawn_seed(cfg.seed, sel)))

@@ -556,10 +556,22 @@ def test_candidate_lists_round_trip(tmp_path, rng):
     assert [c.cnots for c in back.candidates] == [c.cnots for c in cl.candidates]
 
 
-def test_candidate_unitary_is_built_once_and_is_its_circuits(rng):
+def test_candidate_unitary_is_built_once_and_is_its_circuits(rng, monkeypatch):
     cand = Candidate(random_circuit(rng, 2, 8), 0.0)
     assert cand.unitary is cand.unitary
     assert cand.unitary.tobytes() == circuit_unitary(cand.circuit).tobytes()  # bit for bit
+    # a fitted candidate carries the matrix its fit was verified with
+    built = []
+    monkeypatch.setattr(synthesis, "circuit_unitary", lambda c: built.append(c) or circuit_unitary(c))
+    parts = [make_partition(random_unitary(rng, 4), index=i) for i in range(2)]
+    lists = generate_candidate_lists(parts, 0.7, 2, FAST, seed=3)
+    fitted = len(built)
+    cands = [c for cl in lists for c in cl.candidates]
+    assert cands and all(any(c.circuit is b for b in built) for c in cands)
+    for c in cands:
+        assert c.unitary is c.unitary
+        assert c.unitary.tobytes() == circuit_unitary(c.circuit).tobytes()
+    assert len(built) == fitted  # none rebuilt
 
 
 @st.composite
