@@ -6,14 +6,14 @@ vector over all candidates (1.0 at each chosen one) plus a constant 1.0, so
 its input width is the total candidate count + 1 at any qubit count. It is a
 fully connected ReLU stack whose output width is the total candidate count
 across all partitions; each state only ever reads its own partition's slice
-of that output. Rewards blend the measured device error rate (the fairness
-proxy) with classification accuracy, weighted per scheme. The
-`(accuracy, p)` pair does not depend on the weights, so one env per run
+of that output. Rewards blend the deployed circuit's own depolarizing rate
+`p` (the fairness score) with classification accuracy, weighted per scheme.
+The `(accuracy, p)` pair does not depend on the weights, so one env per run
 holds it for every scheme. Accuracy evolves the split's encoded states one
 partition block at a time, each block one 2^k unitary, starting from the
-states the env kept for the longest prefix of it already evolved; `p` comes
-from exact-mode `estimate_p`, which layers each twirled mirror in one pass
-without building circuits.
+states the env kept for the longest prefix of it already evolved; one
+`accumulate_p` layering gives the `survival` that is `1 - p` and that
+depolarizes the measured distribution.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit
-from .device import DeviceModel, estimate_p
+# estimate_p: unused, but perfbench/tracer.py TRACED wraps it here (ROADMAP item 1)
+from .device import DeviceModel, accumulate_p, depolarized_by, estimate_p, survival
 from .partition import Partition, recombine
 # accuracy, circuit_unitary: unused, but perfbench/tracer.py TRACED wraps them here (ROADMAP item 1)
 from .qnn import Dataset, QnnModel, accuracy, encoded_columns, fraction_right, measured_distribution
@@ -270,9 +271,10 @@ class DeploymentEnv:
     itself, so a search that extends its last prefix applies only the new
     block and the unselected ones past it. The deployed circuit
     (`deployed_circuit`, each block's gates mapped onto the full register)
-    still gives `p`, the noise of the measured distribution, and the
-    reports. Blocks and the layer rates of `estimate_p` are each built once
-    per env.
+    gives the reports and the noise: its `survival` s depolarizes the
+    measured distribution, and `p = 1 - s`, as noise contracts the
+    classifier's Lipschitz constant to s times the noiseless one. Blocks
+    are built once per env.
     """
 
     partitions: list[Partition]
@@ -282,15 +284,12 @@ class DeploymentEnv:
     data: Dataset
     weights: RewardWeights
     split: str = "test"
-    r_twirls: int = 4
-    seed: int = 0
     evaluations: dict = field(init=False, default_factory=dict)  # prefix -> (accuracy, p)
     # (partition, ordinal or None for the original block) -> block on the full register
     _blocks: dict = field(init=False, default_factory=dict)
     # the split's encoded states as a [2]*n + [rows] tensor, and its labels
     _states: np.ndarray | None = field(init=False, default=None)
     _labels: np.ndarray | None = field(init=False, default=None)
-    _layer_memo: dict = field(init=False, default_factory=dict)  # estimate_p's layer rates
     # the current path: (ordinal, states evolved through blocks 0..p) per chosen partition p
     _path: list = field(init=False, default_factory=list)
 
@@ -340,10 +339,13 @@ class DeploymentEnv:
             raise ValueError(f"action {action} outside slice {slice_}")
         return selections + (action - slice_.start,)
 
-    def _distribution(self, selections: tuple[int, ...], circuit: Circuit) -> np.ndarray:
+    def _distribution(self, selections: tuple[int, ...], circuit: Circuit,
+                      survive: float | None = None) -> np.ndarray:
         """The measured qubit's distribution (2, rows) on the split for the
-        model deployed as `circuit`, the prefix's deployed circuit: the
-        split's states evolved one partition block at a time. The states
+        model deployed as `circuit`, the prefix's deployed circuit, kept by
+        noise with weight `survive`, the circuit's `survival` on the device
+        (layered here when not given): the split's states evolved one
+        partition block at a time, then `depolarized_by` it. The states
         after each chosen block of the last prefix stay on `_path`, so a
         prefix starts from the longest stored prefix of itself; the blocks
         past it are applied as a fresh evolution would apply them."""
@@ -366,19 +368,20 @@ class DeploymentEnv:
             tensor = _apply_matrix(tensor, matrix, part.qubits, n)
             if ordinal is not None:
                 path.append((ordinal, tensor))
-        return measured_distribution(self.model.with_circuit(circuit), tensor, self.device)
+        if survive is None:
+            survive = survival(accumulate_p(circuit, self.device).p_total, self.device)
+        return depolarized_by(measured_distribution(self.model, tensor, None), survive)
 
     def evaluate(self, selections: tuple[int, ...]) -> tuple[float, float]:
         """`(accuracy, p)` of a prefix, computed on the first request into
-        the `evaluations` table and read from it afterwards."""
+        the `evaluations` table and read from it afterwards. The deployed
+        circuit is layered once: its `survival` s depolarizes the measured
+        distribution, and `p = 1 - s`."""
         if selections not in self.evaluations:
             circuit = self.deployed_circuit(selections)
-            acc = fraction_right(self._distribution(selections, circuit)[1], self._labels)
-            p_hat = estimate_p(
-                circuit, self.device, r_twirls=self.r_twirls,
-                shots=None, seed=spawn_seed(self.seed, selections), memo=self._layer_memo,
-            )
-            self.evaluations[selections] = (acc, p_hat)
+            survive = survival(accumulate_p(circuit, self.device).p_total, self.device)
+            acc = fraction_right(self._distribution(selections, circuit, survive)[1], self._labels)
+            self.evaluations[selections] = (acc, 1.0 - survive)
         return self.evaluations[selections]
 
     def reward(self, selections: tuple[int, ...]) -> float:
@@ -387,11 +390,6 @@ class DeploymentEnv:
             raise ValueError("reward needs at least one selection")
         acc, p_hat = self.evaluate(selections)
         return compute_reward(p_hat, acc, self.weights)
-
-
-def spawn_seed(master: int, selections: tuple[int, ...]) -> int:
-    """Stable per-prefix integer seed for the estimation twirls."""
-    return int(spawn(master, "reward", *selections).integers(0, 2**31))
 
 
 # --- the episode loop ------------------------------------------------------------------

@@ -8,9 +8,11 @@ a layer; the `crosstalk_default` of edges sharing a qubit never does. Every
 rate goes through `_composed`: `accumulate_p` layers a circuit with `asap`,
 and exact-mode `estimate_p` layers each twirled mirror in one pass over its
 2-qubit gates (`_mirror_p_total`). Every run keeps `survival` of the
-noiseless distribution. Readout error is a per-qubit 2 x 2 confusion
-matrix, applied on its qubit's axis of the measured distribution and undone
-there by `mitigate_readout`; it is kept out of the gate-error model.
+noiseless distribution. The reward's fairness is a circuit's own rate,
+1 - `survival`; `estimate_p` measures its mirror's, as hardware would.
+Readout error is a per-qubit 2 x 2 confusion matrix, applied on its qubit's
+axis of the measured distribution and undone there by `mitigate_readout`;
+it is kept out of the gate-error model.
 
 A device may also declare `uniform_depolarizing`: a single depolarizing
 channel applied once per execution regardless of circuit content. It exists
@@ -18,10 +20,11 @@ to inject a known ground-truth rate in calibration and validation runs.
 
 Global depolarizing channels commute with every unitary, so noisy execution
 needs no density matrix: the measured distribution is exactly
-(1 - P) d + P / k over its k outcomes, d the noiseless one. `depolarized`
-is that rule; `simulate_noisy` applies it to the whole register's
-|U psi|^2, from one statevector under the same 12-qubit cap as the
-noiseless path, and `qnn.output_distribution` to the measured qubit.
+(1 - P) d + P / k over its k outcomes, d the noiseless one.
+`depolarized_by` is that rule, and `depolarized` applies it at a circuit's
+survival; `simulate_noisy` applies it to the whole register's |U psi|^2,
+from one statevector under the same 12-qubit cap as the noiseless path, and
+`qnn.output_distribution` to the measured qubit.
 """
 from __future__ import annotations
 
@@ -215,12 +218,16 @@ def survival(p_total: float, device: DeviceModel) -> float:
     return (1.0 - p_total) * (1.0 - device.uniform_depolarizing)
 
 
-def depolarized(dist: np.ndarray, circuit: Circuit, device: DeviceModel) -> np.ndarray:
+def depolarized_by(dist: np.ndarray, survive: float) -> np.ndarray:
     """The noisy-measurement rule: `dist`, noiseless and with its outcomes
     on axis 0, becomes (1 - P) dist + P / k over its k outcomes, with
-    1 - P the circuit's `survival` on the device."""
-    survive = survival(accumulate_p(circuit, device).p_total, device)
+    1 - P = `survive`."""
     return survive * dist + (1.0 - survive) / len(dist)
+
+
+def depolarized(dist: np.ndarray, circuit: Circuit, device: DeviceModel) -> np.ndarray:
+    """`depolarized_by` the circuit's `survival` on the device."""
+    return depolarized_by(dist, survival(accumulate_p(circuit, device).p_total, device))
 
 
 # --- noisy simulation ------------------------------------------------------------
@@ -286,7 +293,6 @@ def estimate_p(
     r_twirls: int = 16,
     shots: int | None = 8192,
     seed: int = 0,
-    memo: dict | None = None,
 ) -> float:
     """Measured effective depolarizing rate of a circuit on a device.
 
@@ -300,9 +306,8 @@ def estimate_p(
     Paulis from the same `spawn(seed, "twirl", t)` streams, and in both the
     Paulis shift the ASAP layering, and so the crosstalk. Exact mode builds
     no circuit at all: it takes the 2-qubit gates as they stand and layers
-    each mirror in one pass (`_mirror_p_total`). `memo` holds its layer
-    rates (`_composed`); a layer's rate depends only on the device and its
-    2-qubit tuples, so calls on one device may share one dict.
+    each mirror in one pass (`_mirror_p_total`). A mirror's rate is about
+    twice the circuit's own, which the reward reads instead.
     """
     if r_twirls < 1:
         raise ValueError("r_twirls must be >= 1")
@@ -311,7 +316,7 @@ def estimate_p(
         _check_routed(gates, device)
         pairs = [(g.qubits, g.kind is GateKind.CNOT) for g in gates]
         size = (sum(cnot for _, cnot in pairs), 2)  # `_twirled`'s draw: an index pair per CNOT
-        memo = {} if memo is None else memo
+        memo: dict = {}
         mirrors = (_mirror_p_total(pairs, spawn(seed, "twirl", t).integers(0, 4, size=size),
                                    circuit.num_qubits, device, memo) for t in range(r_twirls))
         p_hat = sum(1.0 - survival(p_total, device) for p_total in mirrors) / r_twirls
@@ -348,8 +353,7 @@ def _mirror_p_total(pairs, draws: np.ndarray, num_qubits: int, device: DeviceMod
     qubit's frontier on by one layer; each 2-qubit gate then takes the later
     of its qubits' frontiers. The inverse runs the same gates backwards,
     each gate's Paulis on the other side of it. The 2-qubit tuples of each
-    layer go to `_composed`, whose `memo` is shared at least by the twirls
-    of one call."""
+    layer go to `_composed`, whose `memo` the twirls of one call share."""
     draws = iter(draws.tolist())
     forward, backward = [], []
     for qubits, cnot in pairs:

@@ -17,9 +17,10 @@ within eps whose output gap reaches delta, and the ratios for the maximum
 overwrite the output distances once those pairs are taken.
 `find_bias_pairs` and `estimate_lipschitz` each return their half of it.
 
-The device error rate p doubles as the fairness proxy score: under pure
-depolarizing noise the noisy constant contracts to (1 - p) times the
-noiseless one, so p controls how much the device flattens output gaps.
+The search's fairness score is the deployed circuit's effective
+depolarizing rate p: under its noise the empirical constant is exactly
+(1 - p) times the noiseless one, so p is how much the device flattens
+output gaps.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,15 +96,12 @@ _OPT_KEYS = {
     "opt.iterations": ("iterations", int),
 }
 
-# eval.* keys left out of the file keep DeploymentEnv's defaults
-_ENV_DEFAULTS = {f.name: f.default for f in fields(DeploymentEnv)}
-
 # every key load_config reads; `weights.<scheme>` keys come on top
 CONFIG_KEYS = frozenset({
     "model.arch", "model.qubits", "model.layers", "model.params", "model.measure_qubit",
     "device", "data.csv", "data.schema", "data.synthetic.rows", "data.synthetic.flip",
     "s_blk", "eps_syn", "k_max", "max_candidates", "schemes",
-    "eval.split", "eval.r_twirls", "seed", "output_dir",
+    "eval.split", "seed", "output_dir",
     *_TRAIN_KEYS, *_OPT_KEYS,
 })
 
@@ -140,7 +137,6 @@ class ExperimentConfig:
     weights: dict[str, RewardWeights]
     train: TrainConfig
     eval_split: str
-    r_twirls: int
     seed: int
     output_dir: str
     config_hash: str
@@ -247,8 +243,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
             schemes=tuple(s.strip() for s in get("schemes", "quest,random,rl3").split(",")),
             weights=weights,
             train=train,
-            eval_split=get("eval.split", _ENV_DEFAULTS["split"]),
-            r_twirls=int(get("eval.r_twirls", _ENV_DEFAULTS["r_twirls"])),
+            eval_split=get("eval.split", DeploymentEnv.split),  # absent: the env's default
             seed=int(get("seed", "0")),
             output_dir=output_dir,
             config_hash=_hash_config(kv),
@@ -259,8 +254,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         raise ConfigError(f"bad config value: {exc}") from exc
     if cfg.eval_split not in ("train", "test"):
         raise ConfigError(f"eval.split must be train or test, got {cfg.eval_split!r}")
-    if cfg.r_twirls < 1:
-        raise ConfigError(f"eval.r_twirls must be >= 1, got {cfg.r_twirls}")
     if cfg.layers < 1:
         raise ConfigError(f"model.layers must be >= 1, got {cfg.layers}")
     if cfg.data_schema and not cfg.data_csv:  # else the synthetic set would run in its place
@@ -497,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeploymentReport]:
     reports = []
     # one env for every scheme: each re-weights it and reuses its evaluations
     env = DeploymentEnv(parts, lists, model, device, data, cfg.scheme_weights(cfg.schemes[0]),
-                        split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed)
+                        split=cfg.eval_split)
     for scheme in cfg.schemes:
         started = time.perf_counter()
         env.weights = cfg.scheme_weights(scheme)

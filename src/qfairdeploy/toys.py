@@ -93,7 +93,7 @@ def two_partition_instance(
     parts = [make_part(0, gates[:half]), make_part(1, gates[half:])]
     lists = generate_candidate_lists(parts, eps_syn, k_max=4, opt=FAST_OPT, seed=seed,
                                      max_candidates=candidates_per_partition)
-    env = DeploymentEnv(parts, lists, model, device, data, weights, seed=seed)
+    env = DeploymentEnv(parts, lists, model, device, data, weights)
     return ToyInstance(env, parts, lists, model, device, data)
 
 
@@ -106,7 +106,7 @@ def date22_instance(seed: int = 13, weights: RewardWeights = RewardWeights(0.5, 
     parts = partition(model.circuit, 2)
     lists = generate_candidate_lists(parts, 1e-2, k_max=3, opt=FAST_OPT, seed=seed,
                                      max_candidates=3)
-    env = DeploymentEnv(parts, lists, model, device, data, weights, seed=seed)
+    env = DeploymentEnv(parts, lists, model, device, data, weights)
     return ToyInstance(env, parts, lists, model, device, data)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +20,13 @@ from qfairdeploy.agent import (
     save_curves,
     save_selections,
     select_action,
-    spawn_seed,
     state_tensor,
     td_target,
     train_step,
 )
-from qfairdeploy.device import estimate_p
+from qfairdeploy.device import accumulate_p, estimate_p, survival
 from qfairdeploy.partition import partition
-from qfairdeploy.pipeline import load_config, load_data, load_device_ref, load_model
+from qfairdeploy.pipeline import SCHEME_WEIGHTS, load_config, load_data, load_device_ref, load_model
 from qfairdeploy.qnn import ARCHS, accuracy, output_distribution, synthetic_dataset
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import Candidate, CandidateList, generate_candidate_lists
@@ -39,6 +40,7 @@ from qfairdeploy.toys import (
 )
 
 from conftest import random_circuit
+from density_oracle import layer_rates
 
 TOY4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy4.config"
 
@@ -290,7 +292,7 @@ class TestDeploymentEnv:
         from qfairdeploy.qnn import accuracy
         clean = toy_device(2, edge_error=0.0)
         env = DeploymentEnv(toy.partitions, toy.lists, toy.model, clean, toy.data,
-                            RewardWeights(0.5, 0.5), seed=1)
+                            RewardWeights(0.5, 0.5))
         r = env.reward((0,))
         deployed = toy.model.with_circuit(env.deployed_circuit((0,)))
         acc = accuracy(deployed, toy.data, "test", clean)
@@ -298,7 +300,7 @@ class TestDeploymentEnv:
 
     def test_single_partition_prefix_equals_direct_eval(self, toy):
         fresh = DeploymentEnv(toy.partitions, toy.lists, toy.model, toy.device, toy.data,
-                              RewardWeights(0.5, 0.5), seed=5)
+                              RewardWeights(0.5, 0.5))
         assert fresh.reward((1,)) == pytest.approx(toy.env.reward((1,)), abs=1e-12)
 
     def test_reward_memoized(self, toy):
@@ -379,14 +381,14 @@ class TestBlockByBlockAccuracy:
                     == fresh._distribution(sel, deployed).tobytes())
             assert len(env._path) == len(sel)
 
-    def test_toy4_every_prefix_scores_as_accuracy_and_estimate_p(self):
+    def test_toy4_every_prefix_scores_as_accuracy_and_circuit_rate(self):
         cfg = load_config(TOY4_CONFIG)
         model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
         parts = partition(model.circuit, cfg.s_blk)
         lists = generate_candidate_lists(parts, cfg.eps_syn, cfg.k_max, cfg.opt, seed=cfg.seed,
                                          max_candidates=cfg.max_candidates)
         env = DeploymentEnv(parts, lists, model, device, data, RewardWeights(0.5, 0.5),
-                            split=cfg.eval_split, r_twirls=cfg.r_twirls, seed=cfg.seed)
+                            split=cfg.eval_split)
         prefixes = [sel for sel in _prefixes(lists) if sel]
         assert sum(len(sel) == len(lists) for sel in prefixes) == 144
         rows = list(data.split(cfg.eval_split))
@@ -395,8 +397,7 @@ class TestBlockByBlockAccuracy:
             gate = output_distribution(model.with_circuit(deployed), data.features[rows], device).T
             np.testing.assert_allclose(env._distribution(sel, deployed), gate, rtol=0.0, atol=1e-12)
             expected = (accuracy(model.with_circuit(deployed), data, cfg.eval_split, device),
-                        estimate_p(deployed, device, r_twirls=cfg.r_twirls, shots=None,
-                                   seed=spawn_seed(cfg.seed, sel)))
+                        1.0 - survival(accumulate_p(deployed, device).p_total, device))
             assert env.evaluate(sel) == expected
 
     def test_empty_split_raises(self, toy):
@@ -406,6 +407,61 @@ class TestBlockByBlockAccuracy:
         with pytest.raises(ValueError, match="empty test split"):
             env.evaluate((0,))
         assert not env.evaluations
+
+
+@pytest.fixture(scope="module")
+def toy4():
+    """The shipped toy4 config and an env over its freshly synthesized lists."""
+    cfg = load_config(TOY4_CONFIG)
+    model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
+    parts = partition(model.circuit, cfg.s_blk)
+    lists = generate_candidate_lists(parts, cfg.eps_syn, cfg.k_max, cfg.opt, seed=cfg.seed,
+                                     max_candidates=cfg.max_candidates)
+    return cfg, DeploymentEnv(parts, lists, model, device, data, RewardWeights(0.5, 0.5),
+                              split=cfg.eval_split)
+
+
+def _oracle_rate(circuit, device) -> float:
+    """1 - (1 - u) prod(1 - r) over the density oracle's 2-qubit layer
+    rates r, which come from its own layering and rate rule."""
+    keep = math.prod(1.0 - r for r in layer_rates(circuit, device))
+    return 1.0 - (1.0 - device.uniform_depolarizing) * keep
+
+
+class TestFairnessIsTheCircuitRate:
+    """The reward's fairness is the deployed circuit's own effective
+    depolarizing rate, not that of a mirror."""
+
+    def test_every_toy4_prefix_equals_the_oracle_rate(self, toy4):
+        _, env = toy4
+        for sel in _prefixes(env.lists):
+            assert env.evaluate(sel)[1] == pytest.approx(
+                _oracle_rate(env.deployed_circuit(sel), env.device), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_block_case(), st.floats(1e-3, 0.5))
+    def test_uniform_channel_composes_with_the_layers(self, case, u):
+        env, selections = case
+        device = toy_device(env.model.num_qubits, uniform_depolarizing=u)
+        noisy = DeploymentEnv(env.partitions, env.lists, env.model, device, env.data, env.weights)
+        assert noisy.evaluate(selections)[1] == pytest.approx(
+            _oracle_rate(noisy.deployed_circuit(selections), device), abs=1e-12)
+
+    def test_rl_weights_pick_the_mirror_optimum(self, toy4):
+        """Under each rl weighting, brute force over toy4 picks the same
+        leaf with the circuit's own rate as with the mean rate of four
+        twirled mirrors (exact `estimate_p`, one seed per leaf)."""
+        cfg, env = toy4
+        mirror = DeploymentEnv(env.partitions, env.lists, env.model, env.device, env.data,
+                               env.weights, split=env.split)
+        for sel in itertools.product(*(range(len(cl)) for cl in env.lists)):
+            seed = int(spawn(cfg.seed, "reward", *sel).integers(0, 2**31))
+            mirror.evaluations[sel] = (env.evaluate(sel)[0], estimate_p(
+                env.deployed_circuit(sel), env.device, r_twirls=4, shots=None, seed=seed))
+        for scheme in ("rl1", "rl2", "rl3", "rl4", "rl5"):
+            circuit_env = replace(env, weights=SCHEME_WEIGHTS[scheme])
+            mirror.weights = SCHEME_WEIGHTS[scheme]
+            assert brute_force_best(circuit_env)[0] == brute_force_best(mirror)[0], scheme
 
 
 class TestRunSearch:
@@ -428,7 +484,7 @@ class TestRunSearch:
 
     def test_single_partition_precomputed_rewards(self, toy):
         env = DeploymentEnv(toy.partitions[:1], toy.lists[:1], toy.model, toy.device,
-                            toy.data, RewardWeights(0.5, 0.5), seed=3)
+                            toy.data, RewardWeights(0.5, 0.5))
         env.evaluations = {(0,): (0.4, 0.0), (1,): (0.9, 0.9), (2,): (0.5, 0.5)}  # rewards 0.2, 0.9, 0.5
         res = run_search(env, toy_train_config(iterations=50, seed=1))
         assert res.best_selections == (1,)
@@ -437,7 +493,7 @@ class TestRunSearch:
     def test_bellman_identity_single_partition(self, toy):
         # learned Q at the blank state approaches the best terminal reward
         env = DeploymentEnv(toy.partitions[:1], toy.lists[:1], toy.model, toy.device,
-                            toy.data, RewardWeights(0.5, 0.5), seed=3)
+                            toy.data, RewardWeights(0.5, 0.5))
         env.evaluations = {(0,): (0.4, 0.0), (1,): (0.9, 0.9), (2,): (0.5, 0.5)}  # rewards 0.2, 0.9, 0.5
         res = run_search(env, toy_train_config(iterations=200, seed=2))
         assert res.best_selections == (1,)

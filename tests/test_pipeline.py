@@ -19,12 +19,14 @@ from qfairdeploy.pipeline import (
     emit_report,
     load_config,
     load_data,
+    load_device_ref,
     load_model,
     read_report_json,
     run_experiment,
 )
 from qfairdeploy.circuits import Circuit, cnot_count, depth, load_circuit
 from qfairdeploy.cli import main as cli_main
+from qfairdeploy.fairness import estimate_lipschitz
 from qfairdeploy.partition import partition
 from qfairdeploy.seeding import spawn
 from qfairdeploy.synthesis import (
@@ -151,7 +153,7 @@ class TestConfig:
         p.write_text("model.arch c14\nmodel.qubits 4\nmodel.params toy4_params.txt\ndevice ring14\n")
         cfg = load_config(p)
         env = DeploymentEnv([], [], None, None, None, RewardWeights(0.5, 0.5))
-        assert (cfg.eval_split, cfg.r_twirls) == (env.split, env.r_twirls)
+        assert cfg.eval_split == env.split
         assert cfg.max_candidates == DEFAULT_MAX_CANDIDATES
 
     def test_scheme_weights_shipped_verbatim(self):
@@ -252,9 +254,23 @@ class TestRunExperiment:
         assert (out / "reports.csv").read_bytes() == first
 
 
+def test_fairness_is_the_lipschitz_contraction(toy_run):
+    # README's claim, exact: on the device the deployed model's empirical
+    # Lipschitz constant is (1 - fairness) times its noiseless one
+    cfg, reports, out = toy_run
+    model, device, data = load_model(cfg), load_device_ref(cfg.device_ref), load_data(cfg)
+    for report in reports:
+        if report.scheme not in ("quest", "rl3"):
+            continue
+        deployed = model.with_circuit(load_circuit(out / f"deployed_{report.scheme}.qc"))
+        ratio = estimate_lipschitz(deployed, device, data).k_hat / estimate_lipschitz(deployed, None, data).k_hat
+        assert ratio == pytest.approx(1.0 - report.fairness, abs=1e-12), report.scheme
+
+
 def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
     # one env serves all seven schemes, re-weighted per scheme, so each
-    # distinct selection gets one (accuracy, p); accuracy evolves the split
+    # distinct selection gets one (accuracy, p) from one layering of its
+    # deployed circuit (agent's `accumulate_p`); accuracy evolves the split
     # block by block (`measured_distribution`), never through qnn.accuracy's
     # gate-by-gate path; and on the warm cache each candidate's unitary is
     # built once, when the cache is re-verified, and the env reuses it
@@ -266,7 +282,7 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     cfg = load_config(REPO_CONFIG, {"schemes": "quest,random,rl1,rl2,rl3,rl4,rl5",
                                     "train.iterations": "12"})
-    calls = {"accuracy": 0, "measured_distribution": 0, "estimate_p": 0}
+    calls = {"accuracy": 0, "measured_distribution": 0, "accumulate_p": 0}
     selections, stepped, deployed, envs = set(), [], [], {}
     unitaries = {"agent": [], "synthesis": []}
 
@@ -295,10 +311,11 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
             return fn(circuit)
         return circuit_unitary
 
-    for name in calls:
+    for name in ("accuracy", "measured_distribution"):
         for module in (agent, pipeline):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(agent, "accumulate_p", counted("accumulate_p", agent.accumulate_p))
     for key, module in (("agent", agent), ("synthesis", synthesis)):
         monkeypatch.setattr(module, "circuit_unitary", unitary_counter(key, module.circuit_unitary))
     monkeypatch.setattr(DeploymentEnv, "reward", reward)
@@ -307,7 +324,7 @@ def test_sweep_evaluates_each_selection_once(toy_run, tmp_path, monkeypatch):
 
     run_experiment(cfg)
     assert calls == {"accuracy": 0, "measured_distribution": len(selections),
-                     "estimate_p": len(selections)}
+                     "accumulate_p": len(selections)}
     assert len(deployed) == len(selections) + 7  # one per evaluation, then one per reported scheme
     (env,) = envs.values()
     assert {id(e) for e, _ in stepped} == {id(env)}  # the one env steps for every rl scheme
